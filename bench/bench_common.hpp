@@ -1,12 +1,16 @@
 #pragma once
 // Shared plumbing for the reproduction harnesses: default campaign
-// configurations, a tiny CLI-flag reader, and paper-vs-measured row
-// printing. Every bench prints the rows of one of the paper's tables or
-// figures next to the values measured on the simulated target.
+// configurations, a tiny CLI-flag reader, a best-of-N wall-clock timer, and
+// paper-vs-measured row printing. Every bench prints the rows of one of the
+// paper's tables or figures next to the values measured on the simulated
+// target.
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "core/acquisition.hpp"
@@ -30,6 +34,29 @@ inline core::CampaignConfig lab_campaign(std::size_t n = 64) {
   cfg.leakage.noise_sigma = 0.01;
   cfg.leakage.bit_deviation = 0.35;
   return cfg;
+}
+
+/// Wall-clock stopwatch started at construction.
+struct Timer {
+  std::chrono::steady_clock::time_point t0 = std::chrono::steady_clock::now();
+  [[nodiscard]] double ms() const {
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+  }
+};
+
+/// Best-of-`passes` wall time of f() in milliseconds (the first call
+/// doubles as warmup for cheap, cold-start-sensitive legs).
+template <typename F>
+double time_best_ms(F&& f, int passes) {
+  double best = std::numeric_limits<double>::infinity();
+  for (int p = 0; p < passes; ++p) {
+    Timer t;
+    f();
+    best = std::min(best, t.ms());
+  }
+  return best;
 }
 
 /// True if the flag (e.g. "--full") is present on the command line.

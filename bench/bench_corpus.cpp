@@ -13,17 +13,15 @@
 // legs assert the DESIGN.md §8 contract — kill/resume and 1/2/4-shard runs
 // are byte-identical to the plain in-memory campaign.
 
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <limits>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "core/acquisition.hpp"
 #include "core/attack.hpp"
 #include "core/campaign_checkpoint.hpp"
@@ -37,36 +35,13 @@
 
 using namespace reveal;
 using namespace reveal::core;
+using bench::has_flag;
+using bench::time_best_ms;
+using bench::Timer;
 
 namespace {
 
 constexpr double kReadSpeedupGate = 5.0;  // corpus scan vs TraceSet::load
-
-struct Timer {
-  std::chrono::steady_clock::time_point t0 = std::chrono::steady_clock::now();
-  [[nodiscard]] double ms() const {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-  }
-};
-
-template <typename F>
-double time_best_ms(F&& f, int passes) {
-  double best = std::numeric_limits<double>::infinity();
-  for (int p = 0; p < passes; ++p) {
-    Timer t;
-    f();
-    best = std::min(best, t.ms());
-  }
-  return best;
-}
-
-bool has_flag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  return false;
-}
 
 CampaignConfig degraded_config() {
   CampaignConfig cfg;

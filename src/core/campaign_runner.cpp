@@ -85,23 +85,6 @@ RobustCaptureResult CampaignRunner::attack_capture_robust(
   return attack.attack_capture_robust(trace, expected_windows, seg_config, &pool_);
 }
 
-sca::ClassStats CampaignRunner::class_stats(const sca::TraceSet& set,
-                                            std::size_t length) {
-  sca::ClassStats out(length);
-  const std::size_t n = set.size();
-  if (n == 0) return out;
-  const std::size_t blocks = (n + kClassStatsBlock - 1) / kClassStatsBlock;
-  std::vector<sca::ClassStats> partials(blocks, sca::ClassStats(length));
-  pool_.run_indexed(blocks, [&](std::size_t b, std::size_t) {
-    const std::size_t begin = b * kClassStatsBlock;
-    const std::size_t end = std::min(begin + kClassStatsBlock, n);
-    for (std::size_t i = begin; i < end; ++i)
-      partials[b].add(set[i].label, set[i].samples);
-  });
-  for (const sca::ClassStats& p : partials) out.merge(p);
-  return out;
-}
-
 namespace {
 
 /// The one campaign body, templated on whether a diagnostics sink is

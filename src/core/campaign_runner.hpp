@@ -38,7 +38,6 @@
 #include "obs/diagnostics.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span_tracer.hpp"
-#include "sca/class_stats.hpp"
 #include "sca/report.hpp"
 
 namespace reveal::core {
@@ -111,21 +110,6 @@ class CampaignRunner {
   [[nodiscard]] RobustCaptureResult attack_capture_robust(
       const RevealAttack& attack, const std::vector<double>& trace,
       std::size_t expected_windows, const sca::SegmentationConfig& seg_config);
-
-  // --- (d) streaming per-class statistics ---------------------------------
-
-  /// Traces per class_stats partial. Fixed (not derived from the worker
-  /// count) so the floating-point association of the merged result is the
-  /// same for every pool size, including the serial path.
-  static constexpr std::size_t kClassStatsBlock = 32;
-
-  /// Accumulates `set` into a ClassStats over the first `length` samples:
-  /// each fixed 32-trace index block fills its own partial on the workers
-  /// (traces added in index order), and the partials are Chan-merged in
-  /// block order on the calling thread. Byte-identical for every worker
-  /// count; not byte-identical to one streaming accumulator (merge fixes a
-  /// different — but schedule-independent — summation tree).
-  [[nodiscard]] sca::ClassStats class_stats(const sca::TraceSet& set, std::size_t length);
 
   // --- full campaign ------------------------------------------------------
 

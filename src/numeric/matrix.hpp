@@ -2,7 +2,7 @@
 // Small dense linear-algebra substrate.
 //
 // Used by the template attack (pooled covariance, Mahalanobis/log-likelihood
-// scoring) and by the full-matrix DBDD estimator. Row-major, double only —
+// scoring) and by the tests' dense DBDD oracle. Row-major, double only —
 // the dimensions involved (POI counts ~10-40, DBDD toy dims ~100) do not
 // justify an external BLAS.
 

