@@ -2,16 +2,137 @@
 
 #include <algorithm>
 #include <memory>
-#include <span>
 #include <stdexcept>
 #include <utility>
 
-#include "core/campaign_obs.hpp"
-
 namespace reveal::core {
 
-using detail::CampaignReplicas;
-using detail::WorkerObs;
+namespace {
+
+/// Lazily constructed per-worker SamplerCampaign replicas. Captures are
+/// history-independent (run_victim resets the machine and reloads the
+/// firmware), so a replica produces bit-identical captures to a shared
+/// sequential campaign; each worker touches only its own slot.
+class CampaignReplicas {
+ public:
+  CampaignReplicas(const CampaignConfig& config, std::size_t workers)
+      : config_(config),
+        replicas_(std::max<std::size_t>(workers, 1)),
+        scratch_(replicas_.size()) {}
+
+  SamplerCampaign& for_worker(std::size_t w) {
+    if (!replicas_[w]) replicas_[w] = std::make_unique<SamplerCampaign>(config_);
+    return *replicas_[w];
+  }
+
+  /// Per-worker capture scratch: capture_into() reuses its buffers, so a
+  /// worker's acquisition stops allocating after its first few captures.
+  FullCapture& scratch_for(std::size_t w) { return scratch_[w]; }
+
+  /// Replica-level fault activation counts folded in worker-index order.
+  [[nodiscard]] power::FaultStats merged_fault_stats() const noexcept {
+    power::FaultStats faults;
+    for (const auto& replica : replicas_) {
+      if (replica) faults.merge(replica->fault_stats());
+    }
+    return faults;
+  }
+
+ private:
+  CampaignConfig config_;
+  std::vector<std::unique_ptr<SamplerCampaign>> replicas_;
+  std::vector<FullCapture> scratch_;
+};
+
+/// Metric handles for one worker's registry, resolved once so the capture
+/// loop never does string lookups. Constructing this registers the full
+/// counter schema, so even idle workers contribute stable (zero-valued)
+/// names to the merged report.
+struct CampaignCounters {
+  explicit CampaignCounters(obs::Registry& reg)
+      : capture_count(reg.counter("capture.count")),
+        capture_faulted(reg.counter("capture.faulted")),
+        seg_attempts(reg.counter("segmentation.attempts")),
+        seg_retries(reg.counter("segmentation.retries")),
+        seg_ok(reg.counter("segmentation.ok")),
+        seg_recovered(reg.counter("segmentation.recovered")),
+        seg_degraded(reg.counter("segmentation.degraded")),
+        seg_failed(reg.counter("segmentation.failed")),
+        guess_ok(reg.counter("classify.ok")),
+        guess_low(reg.counter("classify.low_confidence")),
+        guess_abstained(reg.counter("classify.abstained")),
+        hints_perfect(reg.counter("hints.perfect")),
+        hints_approximate(reg.counter("hints.approximate")),
+        hints_sign_only(reg.counter("hints.sign_only")),
+        hints_skipped(reg.counter("hints.skipped")),
+        trace_samples_max(reg.gauge("capture.trace_samples.max")),
+        window_quality(reg.histogram("segmentation.window_quality", 0.0, 1.0, 20)) {}
+
+  obs::Registry::Id capture_count, capture_faulted;
+  obs::Registry::Id seg_attempts, seg_retries, seg_ok, seg_recovered, seg_degraded,
+      seg_failed;
+  obs::Registry::Id guess_ok, guess_low, guess_abstained;
+  obs::Registry::Id hints_perfect, hints_approximate, hints_sign_only, hints_skipped;
+  obs::Registry::Id trace_samples_max;
+  obs::Registry::Id window_quality;
+};
+
+/// One worker's private observability partial (merged in worker order).
+struct WorkerObs {
+  obs::Registry registry;
+  obs::SpanTracer tracer;
+  sca::ConfusionMatrix confusion;
+  CampaignCounters ids{registry};
+};
+
+/// Folds one finished capture's outcome into the worker's counters.
+void count_capture(WorkerObs& o, const CampaignConfig& config, const FullCapture& cap,
+                   const RobustCaptureResult& res, const std::vector<HintRecord>& records) {
+  obs::Registry& reg = o.registry;
+  const CampaignCounters& ids = o.ids;
+  reg.add(ids.capture_count);
+  if (config.faults.any()) reg.add(ids.capture_faulted);
+  reg.set_max(ids.trace_samples_max, static_cast<double>(cap.trace.size()));
+
+  reg.add(ids.seg_attempts, res.segmentation.attempts);
+  if (res.segmentation.attempts > 1)
+    reg.add(ids.seg_retries, res.segmentation.attempts - 1);
+  switch (res.segmentation.status) {
+    case sca::SegmentationStatus::kOk: reg.add(ids.seg_ok); break;
+    case sca::SegmentationStatus::kRecovered: reg.add(ids.seg_recovered); break;
+    case sca::SegmentationStatus::kDegraded: reg.add(ids.seg_degraded); break;
+    case sca::SegmentationStatus::kFailed: reg.add(ids.seg_failed); break;
+  }
+  for (const double q : res.segmentation.window_quality) reg.observe(ids.window_quality, q);
+
+  for (const CoefficientGuess& g : res.guesses) {
+    switch (g.quality) {
+      case GuessQuality::kOk: reg.add(ids.guess_ok); break;
+      case GuessQuality::kLowConfidence: reg.add(ids.guess_low); break;
+      case GuessQuality::kAbstained: reg.add(ids.guess_abstained); break;
+    }
+  }
+  for (const HintRecord& r : records) {
+    switch (r.kind) {
+      case HintRecord::Kind::kPerfect: reg.add(ids.hints_perfect); break;
+      case HintRecord::Kind::kApproximate: reg.add(ids.hints_approximate); break;
+      case HintRecord::Kind::kSignOnly: reg.add(ids.hints_sign_only); break;
+      case HintRecord::Kind::kSkipped: reg.add(ids.hints_skipped); break;
+    }
+  }
+
+  // Ground truth travels with the capture, so the per-class confusion of
+  // the paper's Table I falls out of the campaign for free — but only when
+  // every window produced a guess (a shorted segmentation loses the
+  // window <-> coefficient correspondence).
+  if (!res.guesses.empty() && res.guesses.size() == cap.noise.size()) {
+    for (std::size_t j = 0; j < res.guesses.size(); ++j) {
+      o.confusion.add(static_cast<std::int32_t>(cap.noise[j]), res.guesses[j].value);
+    }
+  }
+}
+
+}  // namespace
 
 CampaignRunner::CampaignRunner(std::size_t num_workers) : pool_(num_workers) {}
 
@@ -20,17 +141,6 @@ std::vector<std::uint64_t> CampaignRunner::stream_seeds(std::uint64_t base_seed,
   std::vector<std::uint64_t> seeds(count);
   for (std::size_t i = 0; i < count; ++i) seeds[i] = stream_seed(base_seed, i);
   return seeds;
-}
-
-std::vector<FullCapture> CampaignRunner::capture_many(
-    const CampaignConfig& config, const std::vector<std::uint64_t>& seeds) {
-  std::vector<FullCapture> out(seeds.size());
-  CampaignReplicas replicas(config, pool_.num_workers());
-  pool_.run_indexed(seeds.size(), [&](std::size_t i, std::size_t w) {
-    // out[i] is the caller-owned slot — capture straight into it.
-    replicas.for_worker(w).capture_into(seeds[i], out[i]);
-  });
-  return out;
 }
 
 std::vector<WindowRecord> CampaignRunner::collect_windows(const CampaignConfig& config,
@@ -112,10 +222,41 @@ RecoveryCampaignResult run_campaign_impl(WorkerPool& pool, const RevealAttack& a
   std::vector<HintTally> tallies(worker_slots);
   CampaignReplicas replicas(config, pool.num_workers());
   std::vector<WorkerObs> worker_obs(kDiag ? worker_slots : 0);
-  detail::run_capture_stage<kDiag>(pool, attack, config,
-                                   std::span<const std::uint64_t>(seeds), policy,
-                                   replicas, out.captures, out.hints, tallies,
-                                   kDiag ? &worker_obs : nullptr);
+  pool.run_indexed(seeds.size(), [&](std::size_t i, std::size_t w) {
+    FullCapture& cap = replicas.scratch_for(w);
+    RobustCaptureResult res;
+    std::vector<HintRecord> records;
+    auto route_records = [&] {
+      if (res.segmentation.status != sca::SegmentationStatus::kFailed) {
+        records.reserve(res.guesses.size());
+        for (const CoefficientGuess& g : res.guesses) {
+          records.push_back(route_guess(g, policy));
+          tallies[w].add(records.back());
+        }
+      }
+    };
+    if constexpr (kDiag) {
+      WorkerObs& o = worker_obs[w];
+      const auto index = static_cast<std::uint32_t>(i);
+      {
+        auto span = o.tracer.span(obs::Stage::kCapture, index);
+        replicas.for_worker(w).capture_into(seeds[i], cap);
+      }
+      res = attack.attack_capture_robust_traced(cap.trace, config.n,
+                                                config.segmentation, o.tracer, index);
+      {
+        auto span = o.tracer.span(obs::Stage::kHints, index);
+        route_records();
+      }
+      count_capture(o, config, cap, res, records);
+    } else {
+      replicas.for_worker(w).capture_into(seeds[i], cap);
+      res = attack.attack_capture_robust(cap.trace, config.n, config.segmentation);
+      route_records();
+    }
+    out.captures[i] = std::move(res);
+    out.hints[i] = std::move(records);
+  });
 
   if constexpr (kDiag) {
     // Fold the per-worker partials in worker-index order (the campaign

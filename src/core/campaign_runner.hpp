@@ -87,11 +87,6 @@ class CampaignRunner {
 
   // --- (a) multi-trace acquisition ---------------------------------------
 
-  /// Captures seeds[i] for every i, in parallel; out[i] corresponds to
-  /// seeds[i] regardless of scheduling.
-  [[nodiscard]] std::vector<FullCapture> capture_many(const CampaignConfig& config,
-                                                      const std::vector<std::uint64_t>& seeds);
-
   /// Parallel counterpart of SamplerCampaign::collect_windows: capture r
   /// uses seed `seed_base + r` (the legacy profiling schedule), captures
   /// fan out over the pool, and windows are appended in capture order.

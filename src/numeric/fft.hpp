@@ -45,9 +45,4 @@ class Fft {
 [[nodiscard]] std::vector<double> cross_correlation(const std::vector<double>& a,
                                                     const std::vector<double>& b);
 
-/// The O(n_a * n_b) time-domain evaluation of the same quantity — the
-/// differential anchor for cross_correlation's FFT path.
-[[nodiscard]] std::vector<double> cross_correlation_reference(
-    const std::vector<double>& a, const std::vector<double>& b);
-
 }  // namespace reveal::num

@@ -2,22 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
-#include <numeric>
-#include <ostream>
 #include <stdexcept>
 
-#include "numeric/binary_io.hpp"
-
 namespace reveal::obs {
-
-namespace {
-constexpr std::uint32_t kExactSumMarker = 0x58'53'55'4D;   // "MUSX"
-constexpr std::uint32_t kHistogramMarker = 0x4C'48'53'54;  // "TSHL"
-constexpr std::uint32_t kRegistryMarker = 0x4D'52'45'47;   // "GERM"
-constexpr std::uint64_t kMaxSerializedBins = std::uint64_t{1} << 20;
-constexpr std::uint64_t kMaxSerializedMetrics = std::uint64_t{1} << 20;
-}  // namespace
 
 const char* to_string(MetricKind kind) {
   switch (kind) {
@@ -97,25 +84,6 @@ double ExactSum::value() const noexcept {
   return out;
 }
 
-void ExactSum::save(std::ostream& out) const {
-  num::io::write_pod<std::uint32_t>(out, kExactSumMarker);
-  const ExactSum c = normalized();
-  for (const std::int64_t limb : c.limbs_) num::io::write_pod(out, limb);
-}
-
-ExactSum ExactSum::load(std::istream& in) {
-  num::io::expect_marker(in, kExactSumMarker, "ExactSum");
-  ExactSum s;
-  for (std::int64_t& limb : s.limbs_) limb = num::io::read_pod<std::int64_t>(in);
-  // Canonical form: every lower limb in [0, 2^32). Anything else cannot
-  // have been written by save() and would skew the overflow accounting.
-  for (std::size_t i = 0; i + 1 < kLimbs; ++i) {
-    if (s.limbs_[i] < 0 || s.limbs_[i] > 0xffffffffll)
-      throw std::runtime_error("ExactSum::load: limb out of canonical range");
-  }
-  return s;
-}
-
 LatencyHistogram::LatencyHistogram(double lo, double hi, std::size_t bins)
     : lo_(lo), hi_(hi), counts_(bins, 0) {
   if (!(hi > lo) || bins == 0)
@@ -155,30 +123,6 @@ void LatencyHistogram::merge(const LatencyHistogram& other) {
   for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
   total_ += other.total_;
   sum_.merge(other.sum_);
-}
-
-void LatencyHistogram::save(std::ostream& out) const {
-  num::io::write_pod<std::uint32_t>(out, kHistogramMarker);
-  num::io::write_pod(out, lo_);
-  num::io::write_pod(out, hi_);
-  num::io::write_vec(out, counts_);
-  num::io::write_pod<std::uint64_t>(out, total_);
-  sum_.save(out);
-}
-
-LatencyHistogram LatencyHistogram::load(std::istream& in) {
-  num::io::expect_marker(in, kHistogramMarker, "LatencyHistogram");
-  LatencyHistogram h;
-  h.lo_ = num::io::read_pod<double>(in);
-  h.hi_ = num::io::read_pod<double>(in);
-  h.counts_ = num::io::read_vec<std::uint64_t>(in, kMaxSerializedBins);
-  h.total_ = num::io::read_pod<std::uint64_t>(in);
-  h.sum_ = ExactSum::load(in);
-  if (!h.counts_.empty() && !(h.hi_ > h.lo_))
-    throw std::runtime_error("LatencyHistogram::load: empty bucket range");
-  if (h.total_ != std::accumulate(h.counts_.begin(), h.counts_.end(), std::uint64_t{0}))
-    throw std::runtime_error("LatencyHistogram::load: total/bucket mismatch");
-  return h;
 }
 
 Registry::Id Registry::find_or_create(std::string_view name, MetricKind kind) {
@@ -297,59 +241,6 @@ void Registry::merge(const Registry& other) {
       }
     }
   }
-}
-
-void Registry::save(std::ostream& out) const {
-  num::io::write_pod<std::uint32_t>(out, kRegistryMarker);
-  num::io::write_pod<std::uint64_t>(out, index_.size());
-  // index_ iterates in name order: the bytes depend only on the metric
-  // contents, never on registration history.
-  for (const auto& [name, id] : index_) {
-    const Entry& e = entries_[id];
-    num::io::write_string(out, e.name);
-    num::io::write_pod<std::uint8_t>(out, static_cast<std::uint8_t>(e.kind));
-    num::io::write_pod<std::uint64_t>(out, e.counter);
-    num::io::write_pod(out, e.gauge);
-    num::io::write_pod<std::uint8_t>(out, e.gauge_set ? 1 : 0);
-    e.hist.save(out);
-  }
-}
-
-Registry Registry::load(std::istream& in) {
-  num::io::expect_marker(in, kRegistryMarker, "Registry");
-  const auto count = num::io::read_pod<std::uint64_t>(in);
-  if (count > kMaxSerializedMetrics)
-    throw std::runtime_error("Registry::load: implausible metric count");
-  Registry reg;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::string name = num::io::read_string(in);
-    const auto kind_raw = num::io::read_pod<std::uint8_t>(in);
-    if (kind_raw > static_cast<std::uint8_t>(MetricKind::kHistogram))
-      throw std::runtime_error("Registry::load: unknown metric kind");
-    if (reg.contains(name)) throw std::runtime_error("Registry::load: duplicate metric");
-    const Id id = reg.find_or_create(name, static_cast<MetricKind>(kind_raw));
-    Entry& e = reg.entries_[id];
-    e.counter = num::io::read_pod<std::uint64_t>(in);
-    e.gauge = num::io::read_pod<double>(in);
-    e.gauge_set = num::io::read_pod<std::uint8_t>(in) != 0;
-    e.hist = LatencyHistogram::load(in);
-  }
-  return reg;
-}
-
-bool Registry::same_metrics(const Registry& other) const {
-  if (index_.size() != other.index_.size()) return false;
-  for (const auto& [name, id] : index_) {
-    const auto it = other.index_.find(name);
-    if (it == other.index_.end()) return false;
-    const Entry& a = entries_[id];
-    const Entry& b = other.entries_[it->second];
-    if (a.kind != b.kind || a.counter != b.counter || a.gauge_set != b.gauge_set ||
-        (a.gauge_set && a.gauge != b.gauge) || !(a.hist == b.hist)) {
-      return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace reveal::obs

@@ -2,18 +2,8 @@
 
 #include <iomanip>
 #include <sstream>
-#include <stdexcept>
-
-#include "numeric/binary_io.hpp"
 
 namespace reveal::sca {
-
-namespace {
-constexpr std::uint32_t kConfusionMarker = 0x43'4D'41'54;  // "TAMC"
-// Classifier labels are sampler coefficient values (tens of classes), so a
-// corrupt cell count beyond a few million is never legitimate.
-constexpr std::uint64_t kMaxSerializedCells = std::uint64_t{1} << 22;
-}  // namespace
 
 void ConfusionMatrix::add(std::int32_t truth, std::int32_t predicted) {
   ++counts_[{truth, predicted}];
@@ -66,36 +56,6 @@ std::vector<std::int32_t> ConfusionMatrix::predictions() const {
   out.reserve(pred_totals_.size());
   for (const auto& [p, c] : pred_totals_) out.push_back(p);
   return out;
-}
-
-void ConfusionMatrix::save(std::ostream& out) const {
-  num::io::write_pod<std::uint32_t>(out, kConfusionMarker);
-  num::io::write_pod<std::uint64_t>(out, counts_.size());
-  for (const auto& [key, c] : counts_) {
-    num::io::write_pod<std::int32_t>(out, key.first);
-    num::io::write_pod<std::int32_t>(out, key.second);
-    num::io::write_pod<std::uint64_t>(out, c);
-  }
-}
-
-ConfusionMatrix ConfusionMatrix::load(std::istream& in) {
-  num::io::expect_marker(in, kConfusionMarker, "ConfusionMatrix");
-  const auto cells = num::io::read_pod<std::uint64_t>(in);
-  if (cells > kMaxSerializedCells)
-    throw std::runtime_error("ConfusionMatrix::load: implausible cell count");
-  ConfusionMatrix m;
-  for (std::uint64_t i = 0; i < cells; ++i) {
-    const auto truth = num::io::read_pod<std::int32_t>(in);
-    const auto predicted = num::io::read_pod<std::int32_t>(in);
-    const auto c = num::io::read_pod<std::uint64_t>(in);
-    if (c == 0) throw std::runtime_error("ConfusionMatrix::load: empty cell");
-    if (!m.counts_.emplace(std::make_pair(truth, predicted), c).second)
-      throw std::runtime_error("ConfusionMatrix::load: duplicate cell");
-    m.truth_totals_[truth] += c;
-    m.pred_totals_[predicted] += c;
-    m.total_ += c;
-  }
-  return m;
 }
 
 std::string ConfusionMatrix::to_table(std::int32_t row_lo, std::int32_t row_hi,

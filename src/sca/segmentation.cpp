@@ -83,20 +83,6 @@ std::vector<double> smooth(const std::vector<double>& samples, std::size_t windo
   return out;
 }
 
-std::vector<double> smooth_reference(const std::vector<double>& samples,
-                                     std::size_t window) {
-  if (window == 0) throw std::invalid_argument("smooth: window must be >= 1");
-  if (window == 1) return samples;
-  std::vector<double> out(samples.size());
-  double acc = 0.0;
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    acc += samples[i];
-    if (i >= window) acc -= samples[i - window];
-    out[i] = acc / static_cast<double>(std::min(i + 1, window));
-  }
-  return out;
-}
-
 double auto_threshold(const std::vector<double>& samples) {
   if (samples.empty()) throw std::invalid_argument("auto_threshold: empty trace");
   std::vector<double> sorted = samples;

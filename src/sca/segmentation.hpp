@@ -40,15 +40,9 @@ struct Segment {
 /// Neumaier-compensated sliding accumulator, so the rounding error per
 /// output stays O(window * eps) instead of growing with the trace length
 /// (the plain add/subtract accumulator drifts O(length * eps) on traces of
-/// millions of samples — see smooth_reference).
+/// millions of samples — see tests/test_analysis_fast_paths.cpp).
 [[nodiscard]] std::vector<double> smooth(const std::vector<double>& samples,
                                          std::size_t window);
-
-/// The pre-hardening smoothing kernel: a plain (uncompensated) sliding
-/// accumulator. Kept as the differential anchor for the drift regression
-/// tests; new code should call smooth().
-[[nodiscard]] std::vector<double> smooth_reference(const std::vector<double>& samples,
-                                                   std::size_t window);
 
 /// Midpoint between the 20th and 95th percentile — the automatic threshold.
 /// Degenerate (flat or near-constant) traces have no burst/floor separation

@@ -23,7 +23,6 @@
 // the benchmark baseline.
 
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <vector>
 
@@ -114,16 +113,6 @@ class TemplateBuilder {
   /// Builds the template set; `ridge` is added to the pooled covariance
   /// diagonal. Throws std::runtime_error if any class has < 2 observations.
   [[nodiscard]] TemplateSet build(double ridge = 1e-6) const;
-
-  /// Exact binary snapshot of every per-class accumulator. load() restores
-  /// a bit-identical builder (same floating-point trajectory on further
-  /// add() calls) — the checkpoint/resume path of the recovery campaign.
-  void save(std::ostream& out) const;
-  [[nodiscard]] static TemplateBuilder load(std::istream& in);
-
-  friend bool operator==(const TemplateBuilder& a, const TemplateBuilder& b) {
-    return a.dim_ == b.dim_ && a.total_ == b.total_ && a.per_class_ == b.per_class_;
-  }
 
  private:
   std::size_t dim_;

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "analysis_reference.hpp"
 #include "lattice/lattice.hpp"
 #include "numeric/fft.hpp"
 #include "numeric/rng.hpp"
