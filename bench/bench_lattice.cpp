@@ -135,8 +135,14 @@ int run_json_harness(bool smoke) {
       sim_profile, static_cast<std::size_t>(sim_beta_fast), sim_params);
   const auto prof_ref = lattice::simulate_bkz_profile_reference(
       sim_profile, static_cast<std::size_t>(sim_beta_fast), sim_params);
+  // The found beta sits in the root-Hermite regime (rank < 45) at smoke
+  // size; beta = 45 also compares the Gaussian-heuristic head formula.
+  constexpr std::size_t gh_beta = 45;
+  const bool gh_identical =
+      lattice::simulate_bkz_profile(sim_profile, gh_beta, sim_params) ==
+      lattice::simulate_bkz_profile_reference(sim_profile, gh_beta, sim_params);
   const bool sim_identical =
-      sim_beta_fast == sim_beta_ref && prof_fast == prof_ref;
+      sim_beta_fast == sim_beta_ref && prof_fast == prof_ref && gh_identical;
 
   // ---- leg 3: paper curves (Tables III/IV shape at n = 1024) -----------
   const lwe::DbddParams paper = paper_params(smoke ? 8 : 1);

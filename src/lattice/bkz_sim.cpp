@@ -25,15 +25,32 @@ double delta_formula(double beta) {
 }
 
 /// Shared per-tour update rule. The fast path carries the old-profile
-/// prefix sums and the running new-prefix accumulator; the reference path
-/// re-sums both naively at every position. Both accumulate in index order,
-/// so every intermediate value — and therefore the whole simulation — is
-/// bit-identical between the two.
+/// prefix sums and the running new-prefix accumulator, and reads the
+/// log_vol-independent part of log_block_head from a per-rank table; the
+/// reference path re-sums both naively and calls log_block_head at every
+/// position. Both accumulate in index order and evaluate the head with the
+/// same operations in the same order, so every intermediate value — and
+/// therefore the whole simulation — is bit-identical between the two.
 std::vector<double> simulate_impl(std::vector<double> l, std::size_t beta,
                                   const BkzSimParams& params, bool fast) {
   const std::size_t d = l.size();
   if (d == 0) throw std::invalid_argument("bkz_sim: empty profile");
   if (beta < 2 || d < 2) return l;
+
+  // head_const[b]: lgamma(b/2 + 1) for GH-regime ranks, (b-1)*ln(delta(b))
+  // below kGhMinRank — the libm work of log_block_head, once per rank.
+  std::vector<double> head_const;
+  if (fast) {
+    const std::size_t max_rank = std::min(beta, d);
+    head_const.assign(max_rank + 1, 0.0);
+    for (std::size_t b = 2; b <= max_rank; ++b) {
+      const double bd = static_cast<double>(b);
+      head_const[b] = b >= kGhMinRank
+                          ? std::lgamma(0.5 * bd + 1.0)
+                          : (bd - 1.0) * std::log(root_hermite_delta(bd));
+    }
+  }
+  const double half_log_pi = 0.5 * std::log(std::numbers::pi);
 
   std::vector<double> next(d, 0.0);
   std::vector<double> prefix(d + 1, 0.0);
@@ -62,7 +79,14 @@ std::vector<double> simulate_impl(std::vector<double> l, std::size_t beta,
       if (b == 1) {
         val = log_vol;  // last position absorbs the exact remainder
       } else {
-        const double g = log_block_head(b, log_vol);
+        double g;
+        if (!fast) {
+          g = log_block_head(b, log_vol);
+        } else if (b >= kGhMinRank) {
+          g = (head_const[b] + log_vol) / static_cast<double>(b) - half_log_pi;
+        } else {
+          g = head_const[b] + log_vol / static_cast<double>(b);
+        }
         if (untouched) {
           if (g < l[k]) {
             val = g;
@@ -137,9 +161,9 @@ double simulated_intersect_beta(const std::vector<double>& log_profile,
   };
   if (pred(2)) return 2.0;
   if (!pred(d)) return static_cast<double>(d);
-  // Bisection on the (empirically monotone) predicate, then a walk-down
-  // re-verification so a locally non-monotone boundary still lands on the
-  // bottom of the successful run.
+  // Bisection on the (empirically monotone) predicate. It ends with
+  // hi == lo + 1 and pred(lo) already known false, so hi is the bottom of
+  // the successful run it bracketed.
   std::size_t lo = 2;  // pred(lo) == false
   std::size_t hi = d;  // pred(hi) == true
   while (hi - lo > 1) {
@@ -150,7 +174,6 @@ double simulated_intersect_beta(const std::vector<double>& log_profile,
       lo = mid;
     }
   }
-  while (hi > 2 && pred(hi - 1)) --hi;
   return static_cast<double>(hi);
 }
 

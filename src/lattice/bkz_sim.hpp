@@ -9,11 +9,16 @@
 // heuristic log-radius of the projected block [k, k+b) whose volume is
 // what remains after the already-fixed prefix (so total log-volume is
 // conserved), the final position absorbing the exact remainder. The fast
-// path keeps per-tour prefix sums — O(d) per tour — and finds the smallest
-// successful block size by bisection with a walk-down verification; the
-// reference path recomputes every block volume naively and scans block
-// sizes linearly. Both share the same per-position update rule, so their
-// profiles agree to ~1e-12 and the returned block sizes match (fuzzed).
+// path keeps per-tour prefix sums — O(d) per tour — and tabulates the
+// log_vol-independent part of log_block_head once per simulation, one
+// constant per block rank b = 2..min(beta, d): lgamma(b/2 + 1) for b >= 45,
+// (b-1)*ln(delta(b)) below. It finds the smallest successful block size by
+// bisection. The reference path recomputes every block volume naively,
+// calls log_block_head at every position and scans block sizes linearly.
+// Both evaluate the same per-position update with the same floating-point
+// operations in the same order, so their profiles are bitwise equal (the
+// library builds with -ffp-contract=off to keep it so under -march=native)
+// and the returned block sizes match (fuzzed).
 //
 // Success predicate (primal uSVP "2016 estimate", profile normalized so
 // the target has unit per-coordinate norm): BKZ-beta succeeds iff
@@ -66,7 +71,7 @@ struct BkzSimParams {
 
 /// Smallest integer block size beta in [2, d] whose simulated profile
 /// satisfies the success predicate above; returns d if none does. Fast
-/// path: bisection over beta plus a bounded walk-down re-verification.
+/// path: bisection over beta.
 [[nodiscard]] double simulated_intersect_beta(
     const std::vector<double>& log_profile, const BkzSimParams& params = {});
 
