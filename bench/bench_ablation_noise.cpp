@@ -23,12 +23,7 @@ int main(int argc, char** argv) {
       "Sign accuracy, value accuracy and hinted bikz vs. noise sigma\n"
       "(proxy for the operating-frequency discussion of paper §V-B).");
 
-  lwe::DbddParams params;
-  params.secret_dim = 1024;
-  params.error_dim = 1024;
-  params.q = 132120577.0;
-  params.secret_variance = 3.2 * 3.2;
-  params.error_variance = 3.2 * 3.2;
+  const lwe::DbddParams params = bench::seal128_params();
   const double baseline = lwe::estimate_lwe_security(params).beta;
 
   std::printf("\n%10s %12s %12s %14s   (no-hint baseline: %.1f bikz)\n", "sigma",

@@ -250,6 +250,7 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(bench::flag_value(argc, argv, "--profiling", full ? 600 : 250));
   const std::size_t captures_per_level =
       static_cast<std::size_t>(bench::flag_value(argc, argv, "--captures", full ? 16 : 8));
+  const long workers_flag = bench::flag_value(argc, argv, "--workers", -1);
 
   bench::print_header(
       "Fault tolerance (extension)",
@@ -258,25 +259,11 @@ int main(int argc, char** argv) {
   // Profiling is clean; only the attacked captures are degraded.
   CampaignConfig clean = bench::default_campaign(64);
   SamplerCampaign profiler(clean);
-  AttackConfig acfg;
-  // Empirically calibrated gates (see tests/test_fault_injection.cpp):
-  // clean-capture sign margins stay above ~0.6, corrupted windows fall
-  // below ~0.3.
-  acfg.abstain_margin = 0.30;
-  acfg.low_confidence_margin = 0.45;
-  acfg.value_commit_threshold = 0.05;
-  acfg.sign_fit_threshold = 2.5;
-  acfg.value_fit_threshold = 4.0;
-  RevealAttack attack(acfg);
+  RevealAttack attack(bench::gated_attack_config());
   std::printf("\ntraining on %zu clean profiling runs...\n", profiling_runs);
   attack.train(profiler.collect_windows(profiling_runs, /*seed_base=*/1));
 
-  lwe::DbddParams params;
-  params.secret_dim = 1024;
-  params.error_dim = 1024;
-  params.q = 132120577.0;
-  params.secret_variance = 3.2 * 3.2;
-  params.error_variance = 3.2 * 3.2;
+  const lwe::DbddParams params = bench::seal128_params();
   const double baseline = lwe::estimate_lwe_security(params).beta;
   std::printf("baseline (no hints): %.1f bikz\n", baseline);
 
@@ -285,7 +272,6 @@ int main(int argc, char** argv) {
   // buffered per level and printed afterwards in severity order.
   const HintPolicy policy;
   const std::vector<Level> levels = severity_levels();
-  const long workers_flag = bench::flag_value(argc, argv, "--workers", -1);
   WorkerPool pool(workers_flag < 0 ? default_num_workers()
                                    : static_cast<std::size_t>(workers_flag));
   // --diag=<path>: per-level diagnostics sinks (one per level slot, so the
@@ -330,49 +316,37 @@ int main(int argc, char** argv) {
               wrong_total == 0 ? "PASS" : "FAIL");
 
   // --- JSON ----------------------------------------------------------------
-  const char* out_path = "BENCH_fault_tolerance.json";
-  std::FILE* out = std::fopen(out_path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", out_path);
-    return 1;
-  }
-  std::fprintf(out, "{\n  \"baseline_bikz\": %.3f,\n  \"levels\": [\n", baseline);
+  bench::JsonWriter json;
+  json.num("baseline_bikz", baseline, "%.3f").array("levels");
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
     const auto& f = levels[i].faults;
-    std::fprintf(out,
-                 "    {\"name\": \"%s\", \"severity\": %.3f,\n"
-                 "     \"faults\": {\"jitter_sigma\": %.3f, \"dropout_rate\": %.3f, "
-                 "\"glitch_count\": %zu, \"burst_count\": %zu, "
-                 "\"trigger_misalign\": %zu, \"clip\": %s},\n"
-                 "     \"captures\": %zu, \"segmentation_ok\": %zu, "
-                 "\"recovered_windows\": %zu, \"expected_windows\": %zu,\n"
-                 "     \"guesses\": {\"ok\": %zu, \"low_confidence\": %zu, "
-                 "\"abstained\": %zu},\n"
-                 "     \"hints\": {\"perfect\": %zu, \"approximate\": %zu, "
-                 "\"sign_only\": %zu, \"none\": %zu},\n"
-                 "     \"sign_accuracy\": %.4f, \"value_accuracy\": %.4f, "
-                 "\"wrong_perfect_hints\": %zu,\n"
-                 "     \"bikz\": %.3f, \"bits\": %.3f}%s\n",
-                 r.name.c_str(), r.severity, f.jitter_sigma, f.dropout_rate,
-                 f.glitch_count, f.burst_count, f.trigger_misalign,
-                 f.clip ? "true" : "false", r.captures, r.segmentation_ok,
-                 r.recovered_windows, r.expected_total, r.ok_guesses,
-                 r.low_confidence_guesses, r.abstained_guesses, r.perfect_hints,
-                 r.approximate_hints, r.sign_only_hints, r.dropped_hints,
-                 r.aligned_windows > 0 ? static_cast<double>(r.sign_correct) /
-                                             static_cast<double>(r.aligned_windows)
-                                       : 0.0,
-                 r.aligned_windows > 0 ? static_cast<double>(r.value_correct) /
-                                             static_cast<double>(r.aligned_windows)
-                                       : 0.0,
-                 r.wrong_perfect_hints, r.bikz, r.bits,
-                 i + 1 < results.size() ? "," : "");
+    const auto share = [&](std::size_t correct) {
+      return r.aligned_windows > 0
+                 ? static_cast<double>(correct) / static_cast<double>(r.aligned_windows)
+                 : 0.0;
+    };
+    json.object().text("name", r.name).num("severity", r.severity, "%.3f");
+    json.object("faults").num("jitter_sigma", f.jitter_sigma, "%.3f")
+        .num("dropout_rate", f.dropout_rate, "%.3f").count("glitch_count", f.glitch_count)
+        .count("burst_count", f.burst_count).count("trigger_misalign", f.trigger_misalign)
+        .flag("clip", f.clip).end();
+    json.count("captures", r.captures).count("segmentation_ok", r.segmentation_ok)
+        .count("recovered_windows", r.recovered_windows)
+        .count("expected_windows", r.expected_total);
+    json.object("guesses").count("ok", r.ok_guesses)
+        .count("low_confidence", r.low_confidence_guesses)
+        .count("abstained", r.abstained_guesses).end();
+    json.object("hints").count("perfect", r.perfect_hints)
+        .count("approximate", r.approximate_hints).count("sign_only", r.sign_only_hints)
+        .count("none", r.dropped_hints).end();
+    json.num("sign_accuracy", share(r.sign_correct), "%.4f")
+        .num("value_accuracy", share(r.value_correct), "%.4f")
+        .count("wrong_perfect_hints", r.wrong_perfect_hints).num("bikz", r.bikz, "%.3f")
+        .num("bits", r.bits, "%.3f").end();
   }
-  std::fprintf(out, "  ],\n  \"bikz_monotone\": %s,\n  \"wrong_perfect_hints_total\": %zu\n}\n",
-               monotone ? "true" : "false", wrong_total);
-  std::fclose(out);
-  std::printf("wrote %s\n", out_path);
+  json.end().flag("bikz_monotone", monotone).count("wrong_perfect_hints_total", wrong_total);
+  if (!json.write("BENCH_fault_tolerance.json")) return 1;
 
   if (!diag_path.empty()) {
     CampaignDiagnostics merged;

@@ -12,7 +12,6 @@
 //
 // Emits BENCH_parallel_scaling.json.
 
-#include <chrono>
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -28,21 +27,6 @@ using namespace reveal;
 using namespace reveal::core;
 
 namespace {
-
-bool reports_identical(const sca::RecoveryReport& a, const sca::RecoveryReport& b) {
-  return a.expected_windows == b.expected_windows &&
-         a.recovered_windows == b.recovered_windows &&
-         a.segmentation_status == b.segmentation_status &&
-         a.segmentation_attempts == b.segmentation_attempts &&
-         a.burst_consistency == b.burst_consistency &&  // bit-equal, not approx
-         a.ok_guesses == b.ok_guesses &&
-         a.low_confidence_guesses == b.low_confidence_guesses &&
-         a.abstained_guesses == b.abstained_guesses &&
-         a.perfect_hints == b.perfect_hints &&
-         a.approximate_hints == b.approximate_hints &&
-         a.sign_only_hints == b.sign_only_hints &&
-         a.dropped_hints == b.dropped_hints && a.bikz == b.bikz && a.bits == b.bits;
-}
 
 struct Point {
   std::size_t workers = 0;
@@ -69,25 +53,14 @@ int main(int argc, char** argv) {
 
   CampaignConfig cfg = bench::default_campaign(64);
   cfg.num_workers = 0;  // profiling below times the serial reference too
-  AttackConfig acfg;
-  acfg.abstain_margin = 0.30;
-  acfg.low_confidence_margin = 0.45;
-  acfg.value_commit_threshold = 0.05;
-  acfg.sign_fit_threshold = 2.5;
-  acfg.value_fit_threshold = 4.0;
-  RevealAttack attack(acfg);
+  RevealAttack attack(bench::gated_attack_config());
   {
     SamplerCampaign profiler(cfg);
     std::printf("training on %zu clean profiling runs...\n", profiling_runs);
     attack.train(profiler.collect_windows(profiling_runs, /*seed_base=*/1));
   }
 
-  lwe::DbddParams params;
-  params.secret_dim = 1024;
-  params.error_dim = 1024;
-  params.q = 132120577.0;
-  params.secret_variance = 3.2 * 3.2;
-  params.error_variance = 3.2 * 3.2;
+  const lwe::DbddParams params = bench::seal128_params();
   const HintPolicy policy;
   const std::vector<std::uint64_t> seeds = CampaignRunner::stream_seeds(90000, captures);
 
@@ -98,21 +71,20 @@ int main(int argc, char** argv) {
 
   for (const std::size_t workers : worker_counts) {
     CampaignRunner runner(workers);
-    const auto t0 = std::chrono::steady_clock::now();
+    const bench::Timer timer;
     const RecoveryCampaignResult result =
         runner.run_recovery_campaign(attack, cfg, seeds, policy, params);
-    const auto t1 = std::chrono::steady_clock::now();
 
     Point p;
     p.workers = workers;
-    p.seconds = std::chrono::duration<double>(t1 - t0).count();
+    p.seconds = timer.ms() / 1e3;
     p.traces_per_sec = static_cast<double>(captures) / p.seconds;
     if (workers == 0) {
       serial_result = result;
       serial_seconds = p.seconds;
       p.matches_serial = true;
     } else {
-      p.matches_serial = reports_identical(result.report, serial_result.report) &&
+      p.matches_serial = result.report == serial_result.report &&
                          result.hints == serial_result.hints;
     }
     p.speedup = serial_seconds / p.seconds;
@@ -130,27 +102,17 @@ int main(int argc, char** argv) {
   bench::print_note(
       "speedup is bounded by physical cores; see hardware_concurrency in the JSON.");
 
-  const char* out_path = "BENCH_parallel_scaling.json";
-  std::FILE* out = std::fopen(out_path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", out_path);
-    return 1;
+  bench::JsonWriter json;
+  json.count("hardware_concurrency", std::thread::hardware_concurrency())
+      .count("captures", captures).num("serial_seconds", serial_seconds, "%.6f")
+      .array("points");
+  for (const Point& p : points) {
+    json.object().count("workers", p.workers).num("seconds", p.seconds, "%.6f")
+        .num("traces_per_sec", p.traces_per_sec, "%.3f").num("speedup", p.speedup, "%.4f")
+        .flag("matches_serial", p.matches_serial).end();
   }
-  std::fprintf(out,
-               "{\n  \"hardware_concurrency\": %u,\n  \"captures\": %zu,\n"
-               "  \"serial_seconds\": %.6f,\n  \"points\": [\n",
-               std::thread::hardware_concurrency(), captures, serial_seconds);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const Point& p = points[i];
-    std::fprintf(out,
-                 "    {\"workers\": %zu, \"seconds\": %.6f, \"traces_per_sec\": %.3f, "
-                 "\"speedup\": %.4f, \"matches_serial\": %s}%s\n",
-                 p.workers, p.seconds, p.traces_per_sec, p.speedup,
-                 p.matches_serial ? "true" : "false", i + 1 < points.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n  \"byte_identical\": %s\n}\n", all_match ? "true" : "false");
-  std::fclose(out);
-  std::printf("wrote %s\n", out_path);
+  json.end().flag("byte_identical", all_match);
+  if (!json.write("BENCH_parallel_scaling.json")) return 1;
 
   return all_match ? 0 : 1;
 }

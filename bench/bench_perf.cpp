@@ -1,28 +1,23 @@
 // Hot-path regression harness for the core primitives:
 //
-//   bench_perf [--json] [--smoke] [--tier reference|predecode|block]
+//   bench_perf [--smoke]
 //
-// Hand-rolled steady_clock loops time the victim simulator's full execution
-// ladder (decode-per-step reference, predecode cache, basic-block
-// translation) and the shared-work template scoring against their
-// pre-optimization references, plus segmentation / capture / NTT
-// throughput, and emit BENCH_perf.json (BENCH_perf_<tier>.json for
-// non-default --tier). --tier pins the capture-throughput leg's execution
-// tier; the victim-sim leg always measures all three. The run fails
-// (nonzero exit) if the fast paths are not byte-identical: every tier must
-// produce identical InstrEvent streams, cycle counts and decoded noise, and
-// the golden fixture's committed recovery (tests/data/golden_expected.txt)
-// must replay exactly through the optimized pipeline. --smoke shrinks the
-// iteration counts and skips the speedup thresholds (identity is still
-// enforced) so CTest can run the gate quickly.
+// Times the victim simulator's full execution ladder (decode-per-step
+// reference, predecode cache, basic-block translation) and the shared-work
+// template scoring against their pre-optimization references, plus
+// segmentation / capture / NTT throughput, and writes BENCH_perf.json. The
+// run fails (nonzero exit) if the fast paths are not byte-identical: every
+// tier must produce identical InstrEvent streams, cycle counts and decoded
+// noise, and the golden fixture's committed recovery
+// (tests/data/golden_expected.txt) must replay exactly through the
+// optimized pipeline. --smoke shrinks the iteration counts and skips the
+// speedup thresholds (identity is still enforced) so CTest can run the gate
+// quickly.
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -49,18 +44,6 @@ namespace {
 // --------------------------------------------------------------------------
 // Shared helpers
 // --------------------------------------------------------------------------
-
-/// Times f(i) over `iters` calls after a small warmup; returns ns per call.
-template <typename F>
-double time_ns_per_op(F&& f, std::size_t iters) {
-  for (std::size_t i = 0; i < 3 && i < iters; ++i) f(i);
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < iters; ++i) f(i);
-  const auto t1 = std::chrono::steady_clock::now();
-  const double ns =
-      static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
-  return ns / static_cast<double>(iters);
-}
 
 /// Records every InstrEvent for field-by-field stream comparison.
 struct EventCollector final : riscv::ExecutionObserver {
@@ -108,15 +91,6 @@ bool victim_identity_gate() {
     }
   }
   return true;
-}
-
-const char* tier_name(core::VictimTier tier) {
-  switch (tier) {
-    case core::VictimTier::kReference: return "reference";
-    case core::VictimTier::kPredecode: return "predecode";
-    case core::VictimTier::kBlock: return "block";
-  }
-  return "block";
 }
 
 /// A template set of the attack's shape: K labels, pooled SPD covariance.
@@ -184,13 +158,7 @@ bool golden_identity_gate() {
   train_cfg.n = 64;
   train_cfg.num_workers = 0;
   core::SamplerCampaign profiler(train_cfg);
-  core::AttackConfig acfg;
-  acfg.abstain_margin = 0.30;
-  acfg.low_confidence_margin = 0.45;
-  acfg.value_commit_threshold = 0.05;
-  acfg.sign_fit_threshold = 2.5;
-  acfg.value_fit_threshold = 4.0;
-  core::RevealAttack attack(acfg);
+  core::RevealAttack attack(bench::gated_attack_config());
   attack.train(profiler.collect_windows(120, /*seed_base=*/1));
 
   const core::RobustCaptureResult res = attack.attack_capture_robust(
@@ -251,27 +219,9 @@ AlignmentPair make_alignment_pair(std::size_t length, std::ptrdiff_t shift,
   return p;
 }
 
-/// A fixed-seed LLL instance: near-diagonal with dense noise, the shape the
-/// DBDD embedding produces after hint intersection.
-lattice::Basis make_lll_basis(std::size_t n, std::uint64_t seed) {
-  num::Xoshiro256StarStar rng(seed);
-  lattice::Basis basis(n, std::vector<std::int64_t>(n, 0));
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) basis[i][j] = rng.uniform_int(-50, 50);
-    basis[i][i] += 150;
-  }
-  return basis;
-}
-
 // --------------------------------------------------------------------------
 // Observability-overhead leg inputs
 // --------------------------------------------------------------------------
-
-bool guesses_equal(const core::CoefficientGuess& a, const core::CoefficientGuess& b) {
-  return a.sign == b.sign && a.value == b.value && a.support == b.support &&
-         a.posterior == b.posterior && a.quality == b.quality &&
-         a.sign_trusted == b.sign_trusted && a.sign_margin == b.sign_margin;
-}
 
 /// Bit-equality of two campaign results over every field the equivalence
 /// suite pins (guesses, hints, report counters, bikz/bits).
@@ -283,80 +233,56 @@ bool campaign_results_equal(const core::RecoveryCampaignResult& a,
     const auto& sb = b.captures[i].segmentation;
     if (sa.status != sb.status || sa.attempts != sb.attempts ||
         sa.burst_consistency != sb.burst_consistency ||
-        sa.window_quality != sb.window_quality)
+        sa.window_quality != sb.window_quality ||
+        a.captures[i].guesses != b.captures[i].guesses)
       return false;
-    if (a.captures[i].guesses.size() != b.captures[i].guesses.size()) return false;
-    for (std::size_t g = 0; g < a.captures[i].guesses.size(); ++g) {
-      if (!guesses_equal(a.captures[i].guesses[g], b.captures[i].guesses[g])) return false;
-    }
   }
-  if (a.hints != b.hints) return false;
-  if (a.hint_totals.perfect != b.hint_totals.perfect ||
-      a.hint_totals.approximate != b.hint_totals.approximate ||
-      a.hint_totals.sign_only != b.hint_totals.sign_only ||
-      a.hint_totals.skipped != b.hint_totals.skipped ||
-      a.hint_totals.mean_residual_variance != b.hint_totals.mean_residual_variance)
-    return false;
-  const auto& ra = a.report;
-  const auto& rb = b.report;
-  return ra.expected_windows == rb.expected_windows &&
-         ra.recovered_windows == rb.recovered_windows &&
-         ra.segmentation_status == rb.segmentation_status &&
-         ra.segmentation_attempts == rb.segmentation_attempts &&
-         ra.burst_consistency == rb.burst_consistency &&
-         ra.ok_guesses == rb.ok_guesses &&
-         ra.low_confidence_guesses == rb.low_confidence_guesses &&
-         ra.abstained_guesses == rb.abstained_guesses &&
-         ra.perfect_hints == rb.perfect_hints &&
-         ra.approximate_hints == rb.approximate_hints &&
-         ra.sign_only_hints == rb.sign_only_hints &&
-         ra.dropped_hints == rb.dropped_hints && ra.bikz == rb.bikz &&
-         ra.bits == rb.bits;
+  return a.hints == b.hints && a.hint_totals == b.hint_totals && a.report == b.report;
 }
 
 // --------------------------------------------------------------------------
 // --json harness
 // --------------------------------------------------------------------------
 
-int run_json_harness(bool smoke, core::VictimTier capture_tier) {
-  // Block tier vs the decode-per-step anchor, and vs the predecode tier it
-  // sits above: the tentpole gates of the translated execution tier.
-  constexpr double kVictimBlockVsReferenceGate = 10.0;
-  constexpr double kVictimBlockVsPredecodeGate = 3.5;
-  constexpr double kTemplateSpeedupGate = 3.0;
-  constexpr double kSegSweepSpeedupGate = 3.0;
-  constexpr double kAlignSpeedupGate = 4.0;
-  constexpr double kLllSpeedupGate = 2.0;
-  constexpr double kObsOverheadGate = 0.02;  // observability must cost < 2%
+int run_json_harness(bool smoke) {
+  bench::GateTable gates(smoke);
+  bench::JsonWriter json;
+  json.text("bench", "perf").flag("smoke", smoke);
+  // Every timed leg folds its result into `sink`, printed at the end, so
+  // the optimizer cannot elide the work.
+  std::uint64_t sink = 0;
+  double fsink = 0.0;
 
   // --- victim simulation: the full execution ladder -----------------------
-  // All three tiers are timed every run (reference -> predecode -> block) so
-  // the regression gate tracks the whole ladder; min over repeated passes
-  // keeps the tier ratios stable against scheduler noise.
+  // All three tiers are timed every run (block, predecode, reference), each
+  // on its own machine, so the regression gate tracks the whole ladder.
   const core::VictimProgram prog = core::build_sampler_firmware(64, {132120577ULL});
   const std::size_t victim_iters = smoke ? 20 : 300;
-  std::uint64_t sink = 0;
-  const auto time_victim_tier = [&](core::VictimTier tier) {
-    riscv::Machine m(prog.memory_bytes);
-    double best = std::numeric_limits<double>::infinity();
-    for (int pass = 0; pass < (smoke ? 2 : 3); ++pass) {
-      best = std::min(
-          best, time_ns_per_op(
-                    [&](std::size_t i) {
-                      const auto run = core::run_victim_tier(
-                          prog, m, static_cast<std::uint32_t>(i + 1), tier);
-                      sink += run.cycles;
-                    },
-                    victim_iters));
-    }
-    return best;
+  riscv::Machine block_machine(prog.memory_bytes);
+  riscv::Machine pre_machine(prog.memory_bytes);
+  riscv::Machine ref_machine(prog.memory_bytes);
+  const auto victim_leg = [&](riscv::Machine& m, core::VictimTier tier) {
+    return bench::leg(victim_iters, [&, tier](std::size_t i) {
+      sink += core::run_victim_tier(prog, m, static_cast<std::uint32_t>(i + 1), tier).cycles;
+    });
   };
-  const double victim_block_ns = time_victim_tier(core::VictimTier::kBlock);
-  const double victim_pre_ns = time_victim_tier(core::VictimTier::kPredecode);
-  const double victim_ref_ns = time_victim_tier(core::VictimTier::kReference);
-  const double victim_speedup = victim_block_ns > 0.0 ? victim_ref_ns / victim_block_ns : 0.0;
-  const double victim_speedup_pre =
-      victim_block_ns > 0.0 ? victim_pre_ns / victim_block_ns : 0.0;
+  const auto [victim_block, victim_pre, victim_ref] =
+      bench::time_legs(smoke, victim_leg(block_machine, core::VictimTier::kBlock),
+                       victim_leg(pre_machine, core::VictimTier::kPredecode),
+                       victim_leg(ref_machine, core::VictimTier::kReference));
+  const double victim_speedup = bench::speedup(victim_block, victim_ref);
+  const double victim_speedup_pre = bench::speedup(victim_block, victim_pre);
+  const bool victim_identical = victim_identity_gate();
+  // Block tier vs the decode-per-step anchor, and vs the predecode tier it
+  // sits above: the gates of the translated execution tier.
+  gates.at_least("victim_speedup_min", victim_speedup, 10.0);
+  gates.at_least("victim_vs_predecode_speedup_min", victim_speedup_pre, 3.5);
+  gates.require("victim_identical", victim_identical);
+  json.object("victim_sim")
+      .timing("block_ns_per_run", victim_block).timing("predecode_ns_per_run", victim_pre)
+      .timing("reference_ns_per_run", victim_ref).num("speedup", victim_speedup, "%.2f")
+      .num("speedup_vs_predecode", victim_speedup_pre, "%.2f")
+      .flag("identical", victim_identical).end();
 
   // --- template scoring: shared-work factorization vs per-class loops ----
   const std::size_t dim = 12;
@@ -369,20 +295,17 @@ int run_json_harness(bool smoke, core::VictimTier capture_tier) {
     for (double& v : obs) v = obs_rng.gaussian(0.0, 2.0);
   }
   const std::size_t score_iters = smoke ? 2000 : 40000;
-  double fsink = 0.0;
-  const double score_fast_ns = time_ns_per_op(
-      [&](std::size_t i) {
-        const auto d = templates.mahalanobis(observations[i % observations.size()]);
-        fsink += d.back();
-      },
-      score_iters);
-  const double score_ref_ns = time_ns_per_op(
-      [&](std::size_t i) {
-        const auto d = templates.mahalanobis_reference(observations[i % observations.size()]);
-        fsink += d.back();
-      },
-      score_iters);
-  const double score_speedup = score_ref_ns > 0.0 ? score_ref_ns / score_fast_ns : 0.0;
+  const auto [score_fast, score_ref] = bench::time_legs(
+      smoke,
+      bench::leg(score_iters,
+                 [&](std::size_t i) {
+                   fsink += templates.mahalanobis(observations[i % observations.size()]).back();
+                 }),
+      bench::leg(score_iters, [&](std::size_t i) {
+        fsink +=
+            templates.mahalanobis_reference(observations[i % observations.size()]).back();
+      }));
+  const double score_speedup = bench::speedup(score_fast, score_ref);
   double score_max_delta = 0.0;
   for (const auto& obs : observations) {
     const auto fast = templates.mahalanobis(obs);
@@ -391,87 +314,75 @@ int run_json_harness(bool smoke, core::VictimTier capture_tier) {
       score_max_delta = std::max(score_max_delta, std::fabs(fast[c] - ref[c]));
     }
   }
+  gates.at_least("template_speedup_min", score_speedup, 3.0);
+  json.object("template_scoring")
+      .timing("fast_ns_per_obs", score_fast).timing("baseline_ns_per_obs", score_ref)
+      .num("speedup", score_speedup, "%.2f").count("classes", num_classes).count("dim", dim)
+      .num("max_abs_delta", score_max_delta, "%.3e").end();
 
   // --- capture + segmentation throughput ---------------------------------
-  // The capture leg runs at the tier selected by --tier (default: block,
-  // the campaign default), reported as per-capture ms / captures-per-second
-  // — the acquisition-plane throughput the tier ladder exists to buy.
+  // Per-capture ms and captures per second on the block tier every
+  // campaign uses: the acquisition-plane throughput.
   core::CampaignConfig cfg = bench::default_campaign(64);
   cfg.num_workers = 0;
-  cfg.victim_tier = capture_tier;
   core::SamplerCampaign campaign(cfg);
   core::FullCapture cap;
-  const double capture_ns = time_ns_per_op(
-      [&](std::size_t i) {
-        campaign.capture_into(i + 1, cap);
-        sink += cap.trace.size();
-      },
-      smoke ? 10 : 100);
-  const double capture_ms = capture_ns / 1e6;
-  const double captures_per_second = capture_ns > 0.0 ? 1e9 / capture_ns : 0.0;
+  const bench::Timing capture = bench::time_leg(smoke, smoke ? 10 : 100, [&](std::size_t i) {
+    campaign.capture_into(i + 1, cap);
+    sink += cap.trace.size();
+  });
+  json.object("capture").text("tier", "block").timing("ns_per_capture", capture)
+      .num("ms_per_capture", capture.min_ns / 1e6, "%.4f")
+      .num("captures_per_second", capture.min_ns > 0.0 ? 1e9 / capture.min_ns : 0.0, "%.1f")
+      .end();
   campaign.capture_into(12345, cap);
-  const double segment_ns = time_ns_per_op(
-      [&](std::size_t) {
-        const auto segs = sca::segment_trace(cap.trace, cfg.segmentation);
-        sink += segs.size();
-      },
-      smoke ? 20 : 200);
+  const bench::Timing segment = bench::time_leg(smoke, smoke ? 20 : 200, [&](std::size_t) {
+    sink += sca::segment_trace(cap.trace, cfg.segmentation).size();
+  });
+  json.object("segmentation").timing("ns_per_trace", segment).end();
 
   // --- robust segmentation sweep: shared-work vs full re-segmentation ----
   // A mismatched expected count forces the complete sweep (the worst case
   // the degraded-capture pipeline hits); the fast path smooths once per
   // distinct window and scans bursts once per (window, threshold).
   const std::size_t sweep_expected = cfg.n + 5;
-  // Min over alternating short windows: one long window per leg lets a
-  // single scheduling episode land on just one side and swing the ratio
-  // across the gate.
-  double sweep_fast_ns = std::numeric_limits<double>::infinity();
-  double sweep_ref_ns = std::numeric_limits<double>::infinity();
-  for (int pass = 0; pass < (smoke ? 1 : 6); ++pass) {
-    sweep_fast_ns = std::min(
-        sweep_fast_ns, time_ns_per_op(
-                           [&](std::size_t) {
-                             const auto res =
-                                 sca::segment_trace_robust(cap.trace, sweep_expected);
-                             sink += res.attempts;
-                           },
-                           smoke ? 3 : 4));
-    sweep_ref_ns = std::min(
-        sweep_ref_ns, time_ns_per_op(
-                          [&](std::size_t) {
-                            const auto res = sca::segment_trace_robust_reference(
-                                cap.trace, sweep_expected);
-                            sink += res.attempts;
-                          },
-                          smoke ? 3 : 2));
-  }
-  const double sweep_speedup = sweep_fast_ns > 0.0 ? sweep_ref_ns / sweep_fast_ns : 0.0;
+  const auto [sweep_fast, sweep_ref] = bench::time_legs(
+      smoke,
+      bench::leg(smoke ? 3 : 4,
+                 [&](std::size_t) {
+                   sink += sca::segment_trace_robust(cap.trace, sweep_expected).attempts;
+                 }),
+      bench::leg(smoke ? 3 : 2, [&](std::size_t) {
+        sink += sca::segment_trace_robust_reference(cap.trace, sweep_expected).attempts;
+      }));
+  const double sweep_speedup = bench::speedup(sweep_fast, sweep_ref);
   bool sweep_identical = true;
   for (const std::size_t expected : {cfg.n, sweep_expected, cfg.n / 2}) {
     const auto fast = sca::segment_trace_robust(cap.trace, expected);
     const auto ref = sca::segment_trace_robust_reference(cap.trace, expected);
     if (!sweep_results_equal(fast, ref)) sweep_identical = false;
   }
+  gates.at_least("segmentation_sweep_speedup_min", sweep_speedup, 3.0);
+  gates.require("segmentation_sweep_identical", sweep_identical);
+  json.object("segmentation_sweep")
+      .timing("fast_ns_per_sweep", sweep_fast).timing("baseline_ns_per_sweep", sweep_ref)
+      .num("speedup", sweep_speedup, "%.2f").flag("identical", sweep_identical).end();
 
   // --- alignment: FFT screen + exact re-score vs O(L * lag) scan ---------
   const std::size_t align_len = smoke ? 16384 : 65536;
   const std::size_t align_shift = smoke ? 256 : 512;
+  const std::size_t align_iters = smoke ? 2 : 12;
   const AlignmentPair align_pair = make_alignment_pair(align_len, 137, 21);
-  const double align_fast_ns = time_ns_per_op(
-      [&](std::size_t) {
-        const auto r =
-            sca::find_alignment(align_pair.reference, align_pair.trace, align_shift);
-        sink += static_cast<std::uint64_t>(r.shift + 4096);
-      },
-      smoke ? 2 : 12);
-  const double align_ref_ns = time_ns_per_op(
-      [&](std::size_t) {
-        const auto r = sca::find_alignment_reference(align_pair.reference,
-                                                     align_pair.trace, align_shift);
-        sink += static_cast<std::uint64_t>(r.shift + 4096);
-      },
-      smoke ? 2 : 12);
-  const double align_speedup = align_fast_ns > 0.0 ? align_ref_ns / align_fast_ns : 0.0;
+  const auto align_leg = [&](auto find) {
+    return bench::leg(align_iters, [&, find](std::size_t) {
+      sink += static_cast<std::uint64_t>(
+          find(align_pair.reference, align_pair.trace, align_shift).shift + 4096);
+    });
+  };
+  const auto [align_fast, align_ref] =
+      bench::time_legs(smoke, align_leg(sca::find_alignment),
+                       align_leg(sca::find_alignment_reference));
+  const double align_speedup = bench::speedup(align_fast, align_ref);
   bool align_identical = true;
   for (std::uint64_t seed = 31; seed <= 35; ++seed) {
     const AlignmentPair p = make_alignment_pair(
@@ -481,31 +392,40 @@ int run_json_harness(bool smoke, core::VictimTier capture_tier) {
     if (fast.shift != ref.shift || fast.correlation != ref.correlation)
       align_identical = false;
   }
+  gates.at_least("alignment_speedup_min", align_speedup, 4.0);
+  gates.require("alignment_identical", align_identical);
+  json.object("alignment_fft").count("length", align_len).count("max_shift", align_shift)
+      .timing("fast_ns_per_align", align_fast).timing("baseline_ns_per_align", align_ref)
+      .num("speedup", align_speedup, "%.2f").flag("identical", align_identical).end();
 
   // --- LLL: flat incremental GSO vs full recompute per perturbation ------
   const std::size_t lll_n = smoke ? 16 : 28;
-  const lattice::Basis lll_basis = make_lll_basis(lll_n, 5);
-  const double lll_fast_ns = time_ns_per_op(
-      [&](std::size_t) {
-        lattice::Basis b = lll_basis;
-        sink += lattice::lll_reduce(b);
-      },
-      smoke ? 2 : 8);
-  const double lll_ref_ns = time_ns_per_op(
-      [&](std::size_t) {
+  const lattice::Basis lll_basis = bench::dbdd_shaped_basis(lll_n, 5);
+  const auto [lll_fast, lll_ref] = bench::time_legs(
+      smoke,
+      bench::leg(smoke ? 2 : 8,
+                 [&](std::size_t) {
+                   lattice::Basis b = lll_basis;
+                   sink += lattice::lll_reduce(b);
+                 }),
+      bench::leg(smoke ? 2 : 8, [&](std::size_t) {
         lattice::Basis b = lll_basis;
         sink += lattice::lll_reduce_reference(b);
-      },
-      smoke ? 2 : 8);
-  const double lll_speedup = lll_fast_ns > 0.0 ? lll_ref_ns / lll_fast_ns : 0.0;
+      }));
+  const double lll_speedup = bench::speedup(lll_fast, lll_ref);
   bool lll_identical = true;
   for (std::uint64_t seed = 5; seed <= 7; ++seed) {
-    lattice::Basis fast_b = make_lll_basis(smoke ? 12 : 20, seed);
+    lattice::Basis fast_b = bench::dbdd_shaped_basis(smoke ? 12 : 20, seed);
     lattice::Basis ref_b = fast_b;
     const std::size_t fast_swaps = lattice::lll_reduce(fast_b);
     const std::size_t ref_swaps = lattice::lll_reduce_reference(ref_b);
     if (fast_b != ref_b || fast_swaps != ref_swaps) lll_identical = false;
   }
+  gates.at_least("lll_speedup_min", lll_speedup, 2.0);
+  gates.require("lll_identical", lll_identical);
+  json.object("lll_flat").count("dimension", lll_n).timing("fast_ns_per_reduce", lll_fast)
+      .timing("baseline_ns_per_reduce", lll_ref).num("speedup", lll_speedup, "%.2f")
+      .flag("identical", lll_identical).end();
 
   // --- observability overhead: instrumented vs null-tracer campaign ------
   // The same degradation-aware campaign runs with and without a
@@ -519,59 +439,36 @@ int run_json_harness(bool smoke, core::VictimTier capture_tier) {
   obs_cfg.faults.dropout_rate = 0.02;
   obs_cfg.faults.glitch_count = 2;
   core::SamplerCampaign obs_profiler(bench::default_campaign(64));
-  core::AttackConfig obs_acfg;
-  obs_acfg.abstain_margin = 0.30;
-  obs_acfg.low_confidence_margin = 0.45;
-  obs_acfg.value_commit_threshold = 0.05;
-  obs_acfg.sign_fit_threshold = 2.5;
-  obs_acfg.value_fit_threshold = 4.0;
-  core::RevealAttack obs_attack(obs_acfg);
+  core::RevealAttack obs_attack(bench::gated_attack_config());
   obs_attack.train(obs_profiler.collect_windows(smoke ? 60 : 120, /*seed_base=*/1));
-  lwe::DbddParams obs_params;
-  obs_params.secret_dim = 1024;
-  obs_params.error_dim = 1024;
-  obs_params.q = 132120577.0;
-  obs_params.secret_variance = 3.2 * 3.2;
-  obs_params.error_variance = 3.2 * 3.2;
+  const lwe::DbddParams obs_params = bench::seal128_params();
   const core::HintPolicy obs_policy;
   const std::vector<std::uint64_t> obs_seeds =
       core::CampaignRunner::stream_seeds(777, smoke ? 3 : 8);
   core::CampaignRunner obs_runner(0);
-  // Min over many short alternating windows: the overhead gate compares two
-  // legs of identical work, so scheduler noise — not the instrumentation —
-  // is the main source of spread. The block execution tier cut campaign
-  // wall-time enough that a single noisy long window moves the ratio by
-  // several percent, so each window times exactly one campaign and the min
-  // per leg converges on the true floor regardless of when the noise lands.
-  const int obs_passes = smoke ? 4 : 24;
-  const auto run_obs_off = [&] {
-    const auto r = obs_runner.run_recovery_campaign(obs_attack, obs_cfg, obs_seeds,
-                                                    obs_policy, obs_params);
-    sink += r.report.recovered_windows;
-  };
-  const auto run_obs_on = [&] {
-    core::CampaignDiagnostics diag;
-    const auto r = obs_runner.run_recovery_campaign(obs_attack, obs_cfg, obs_seeds,
-                                                    obs_policy, obs_params, &diag);
-    sink += r.report.recovered_windows;
-    sink += diag.registry.counter_value("capture.count");
-  };
-  const auto time_once = [](const auto& f) {
-    const auto t0 = std::chrono::steady_clock::now();
-    f();
-    const auto t1 = std::chrono::steady_clock::now();
-    return static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
-  };
-  run_obs_off();  // warm both instantiations before the timed windows
-  run_obs_on();
-  double obs_off_ns = std::numeric_limits<double>::infinity();
-  double obs_on_ns = std::numeric_limits<double>::infinity();
-  for (int pass = 0; pass < obs_passes; ++pass) {
-    obs_off_ns = std::min(obs_off_ns, time_once(run_obs_off));
-    obs_on_ns = std::min(obs_on_ns, time_once(run_obs_on));
-  }
-  const double obs_overhead = obs_off_ns > 0.0 ? obs_on_ns / obs_off_ns - 1.0 : 0.0;
+  // The two legs do identical work, so host load, not the instrumentation,
+  // is the main source of spread: the legs alternate campaign by campaign,
+  // so a load drift lands on both alike.
+  const std::size_t obs_iters = smoke ? 1 : 5;
+  const auto [obs_off, obs_on] = bench::time_legs(
+      smoke,
+      bench::leg(obs_iters,
+                 [&](std::size_t) {
+                   sink += obs_runner
+                               .run_recovery_campaign(obs_attack, obs_cfg, obs_seeds,
+                                                      obs_policy, obs_params)
+                               .report.recovered_windows;
+                 }),
+      bench::leg(obs_iters, [&](std::size_t) {
+        core::CampaignDiagnostics diag;
+        sink += obs_runner
+                    .run_recovery_campaign(obs_attack, obs_cfg, obs_seeds, obs_policy,
+                                           obs_params, &diag)
+                    .report.recovered_windows;
+        sink += diag.registry.counter_value("capture.count");
+      }));
+  const double obs_overhead =
+      obs_off.min_ns > 0.0 ? obs_on.min_ns / obs_off.min_ns - 1.0 : 0.0;
   core::CampaignDiagnostics obs_diag;
   const core::RecoveryCampaignResult obs_plain = obs_runner.run_recovery_campaign(
       obs_attack, obs_cfg, obs_seeds, obs_policy, obs_params);
@@ -580,6 +477,13 @@ int run_json_harness(bool smoke, core::VictimTier capture_tier) {
   const bool obs_identical =
       campaign_results_equal(obs_plain, obs_instrumented) &&
       obs_diag.registry.counter_value("capture.count") == obs_seeds.size();
+  constexpr double kObsOverheadGate = 0.02;  // observability must cost < 2%
+  gates.at_most("obs_overhead_max", obs_overhead, kObsOverheadGate);
+  gates.require("observability_identical", obs_identical);
+  json.object("observability")
+      .count("captures", obs_seeds.size()).timing("off_ns_per_campaign", obs_off)
+      .timing("on_ns_per_campaign", obs_on).num("overhead", obs_overhead, "%.4f")
+      .num("overhead_max", kObsOverheadGate, "%.4f").flag("identical", obs_identical).end();
 
   // --- NTT throughput ----------------------------------------------------
   const seal::Modulus q(132120577);
@@ -587,155 +491,25 @@ int run_json_harness(bool smoke, core::VictimTier capture_tier) {
   num::Xoshiro256StarStar ntt_rng(1);
   std::vector<std::uint64_t> poly(1024);
   for (auto& v : poly) v = ntt_rng() % q.value();
-  const double ntt_ns = time_ns_per_op(
-      [&](std::size_t) {
-        tables.forward_transform(poly.data());
-        sink += poly[0];
-      },
-      smoke ? 200 : 4000);
+  const bench::Timing ntt = bench::time_leg(smoke, smoke ? 200 : 4000, [&](std::size_t) {
+    tables.forward_transform(poly.data());
+    sink += poly[0];
+  });
+  json.object("ntt_forward_1024").timing("ns_per_transform", ntt).end();
 
-  // --- byte-identity gates ----------------------------------------------
-  const bool victim_identical = victim_identity_gate();
   const bool golden_identical = golden_identity_gate();
-  const bool identity_ok = victim_identical && golden_identical && sweep_identical &&
-                           align_identical && lll_identical && obs_identical;
-  const bool speedups_ok =
-      victim_speedup >= kVictimBlockVsReferenceGate &&
-      victim_speedup_pre >= kVictimBlockVsPredecodeGate &&
-      score_speedup >= kTemplateSpeedupGate &&
-      sweep_speedup >= kSegSweepSpeedupGate && align_speedup >= kAlignSpeedupGate &&
-      lll_speedup >= kLllSpeedupGate &&
-      obs_overhead <= kObsOverheadGate;
-  const bool passed = identity_ok && (smoke || speedups_ok);
+  gates.require("golden_recovery_identical", golden_identical);
+  json.flag("golden_recovery_identical", golden_identical);
+  gates.write(json);
 
-  // Non-default capture tiers write tier-suffixed files so the per-tier
-  // smoke tests can run in parallel without clobbering the regression
-  // gate's BENCH_perf.json.
-  char out_path[64];
-  if (capture_tier == core::VictimTier::kBlock) {
-    std::snprintf(out_path, sizeof out_path, "BENCH_perf.json");
-  } else {
-    std::snprintf(out_path, sizeof out_path, "BENCH_perf_%s.json",
-                  tier_name(capture_tier));
-  }
-  std::FILE* out = std::fopen(out_path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", out_path);
-    return 1;
-  }
-  std::fprintf(out, "{\n  \"bench\": \"perf\",\n  \"smoke\": %s,\n",
-               smoke ? "true" : "false");
-  std::fprintf(out,
-               "  \"victim_sim\": {\"block_ns_per_run\": %.1f, "
-               "\"predecode_ns_per_run\": %.1f, \"reference_ns_per_run\": %.1f, "
-               "\"speedup\": %.2f, \"speedup_vs_predecode\": %.2f, \"identical\": %s},\n",
-               victim_block_ns, victim_pre_ns, victim_ref_ns, victim_speedup,
-               victim_speedup_pre, victim_identical ? "true" : "false");
-  std::fprintf(out,
-               "  \"template_scoring\": {\"fast_ns_per_obs\": %.1f, "
-               "\"baseline_ns_per_obs\": %.1f, \"speedup\": %.2f, \"classes\": %zu, "
-               "\"dim\": %zu, \"max_abs_delta\": %.3e},\n",
-               score_fast_ns, score_ref_ns, score_speedup, num_classes, dim,
-               score_max_delta);
-  std::fprintf(out,
-               "  \"capture\": {\"tier\": \"%s\", \"ns_per_capture\": %.1f, "
-               "\"ms_per_capture\": %.4f, \"captures_per_second\": %.1f},\n",
-               tier_name(capture_tier), capture_ns, capture_ms, captures_per_second);
-  std::fprintf(out, "  \"segmentation\": {\"ns_per_trace\": %.1f},\n", segment_ns);
-  std::fprintf(out,
-               "  \"segmentation_sweep\": {\"fast_ns_per_sweep\": %.1f, "
-               "\"baseline_ns_per_sweep\": %.1f, \"speedup\": %.2f, \"identical\": %s},\n",
-               sweep_fast_ns, sweep_ref_ns, sweep_speedup,
-               sweep_identical ? "true" : "false");
-  std::fprintf(out,
-               "  \"alignment_fft\": {\"length\": %zu, \"max_shift\": %zu, "
-               "\"fast_ns_per_align\": %.1f, \"baseline_ns_per_align\": %.1f, "
-               "\"speedup\": %.2f, \"identical\": %s},\n",
-               align_len, align_shift, align_fast_ns, align_ref_ns, align_speedup,
-               align_identical ? "true" : "false");
-  std::fprintf(out,
-               "  \"lll_flat\": {\"dimension\": %zu, \"fast_ns_per_reduce\": %.1f, "
-               "\"baseline_ns_per_reduce\": %.1f, \"speedup\": %.2f, \"identical\": %s},\n",
-               lll_n, lll_fast_ns, lll_ref_ns, lll_speedup,
-               lll_identical ? "true" : "false");
-  std::fprintf(out,
-               "  \"observability\": {\"captures\": %zu, \"off_ns_per_campaign\": %.1f, "
-               "\"on_ns_per_campaign\": %.1f, \"overhead\": %.4f, "
-               "\"overhead_max\": %.4f, \"identical\": %s},\n",
-               obs_seeds.size(), obs_off_ns, obs_on_ns, obs_overhead, kObsOverheadGate,
-               obs_identical ? "true" : "false");
-  std::fprintf(out, "  \"ntt_forward_1024\": {\"ns_per_transform\": %.1f},\n", ntt_ns);
-  std::fprintf(out, "  \"golden_recovery_identical\": %s,\n",
-               golden_identical ? "true" : "false");
-  std::fprintf(out,
-               "  \"gates\": {\"victim_speedup_min\": %.1f, "
-               "\"victim_vs_predecode_speedup_min\": %.1f, \"template_speedup_min\": "
-               "%.1f, \"segmentation_sweep_speedup_min\": %.1f, "
-               "\"alignment_speedup_min\": %.1f, "
-               "\"lll_speedup_min\": %.1f, "
-               "\"obs_overhead_max\": %.2f, "
-               "\"enforced\": %s, \"passed\": %s}\n}\n",
-               kVictimBlockVsReferenceGate, kVictimBlockVsPredecodeGate,
-               kTemplateSpeedupGate, kSegSweepSpeedupGate,
-               kAlignSpeedupGate, kLllSpeedupGate,
-               kObsOverheadGate, smoke ? "false" : "true",
-               passed ? "true" : "false");
-  std::fclose(out);
-
-  // Printing the sinks keeps the timed work observable (nothing for the
-  // optimizer to elide).
-  std::printf("sinks:            %llu %g\n", static_cast<unsigned long long>(sink), fsink);
-
-  std::printf("victim sim:       block %.0f ns/run  predecode %.0f ns/run  reference "
-              "%.0f ns/run  speedup %.2fx vs ref, %.2fx vs predecode\n",
-              victim_block_ns, victim_pre_ns, victim_ref_ns, victim_speedup,
-              victim_speedup_pre);
-  std::printf("template scoring: fast %.0f ns/obs  baseline %.0f ns/obs  speedup %.2fx\n",
-              score_fast_ns, score_ref_ns, score_speedup);
-  std::printf("segmentation sweep: fast %.0f ns  baseline %.0f ns  speedup %.2fx\n",
-              sweep_fast_ns, sweep_ref_ns, sweep_speedup);
-  std::printf("alignment (L=%zu): fast %.0f ns  baseline %.0f ns  speedup %.2fx\n",
-              align_len, align_fast_ns, align_ref_ns, align_speedup);
-  std::printf("lll (n=%zu):      fast %.0f ns  baseline %.0f ns  speedup %.2fx\n", lll_n,
-              lll_fast_ns, lll_ref_ns, lll_speedup);
-  std::printf("observability:    off %.0f ns  on %.0f ns  overhead %.2f%% (max %.0f%%)\n",
-              obs_off_ns, obs_on_ns, 100.0 * obs_overhead, 100.0 * kObsOverheadGate);
-  std::printf("capture (%s tier) %.3f ms/capture  %.1f captures/s  "
-              "segmentation %.0f ns  ntt-1024 %.0f ns\n",
-              tier_name(capture_tier), capture_ms, captures_per_second, segment_ns, ntt_ns);
-  std::printf("identity: victim events %s, golden recovery %s, sweep %s, alignment %s, "
-              "lll %s, observability %s\n",
-              victim_identical ? "ok" : "MISMATCH", golden_identical ? "ok" : "MISMATCH",
-              sweep_identical ? "ok" : "MISMATCH", align_identical ? "ok" : "MISMATCH",
-              lll_identical ? "ok" : "MISMATCH", obs_identical ? "ok" : "MISMATCH");
-  if (!passed) {
-    std::fprintf(stderr, "bench_perf: gate FAILED (identity %s, speedups %s)\n",
-                 identity_ok ? "ok" : "violated", speedups_ok ? "ok" : "below threshold");
-    return 1;
-  }
-  std::printf("wrote %s\n", out_path);
-  return 0;
+  std::printf("sinks: %llu %g\n", static_cast<unsigned long long>(sink), fsink);
+  std::fputs(json.str().c_str(), stdout);
+  const bool written = json.write("BENCH_perf.json");
+  return gates.report("bench_perf") && written ? 0 : 1;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  core::VictimTier tier = core::VictimTier::kBlock;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--tier") != 0) continue;
-    const char* value = argv[i + 1];
-    if (std::strcmp(value, "reference") == 0) {
-      tier = core::VictimTier::kReference;
-    } else if (std::strcmp(value, "predecode") == 0) {
-      tier = core::VictimTier::kPredecode;
-    } else if (std::strcmp(value, "block") == 0) {
-      tier = core::VictimTier::kBlock;
-    } else {
-      std::fprintf(stderr, "bench_perf: unknown --tier '%s' "
-                           "(expected reference, predecode or block)\n", value);
-      return 2;
-    }
-  }
-  (void)bench::has_flag(argc, argv, "--json");  // the JSON is always written
-  return run_json_harness(bench::has_flag(argc, argv, "--smoke"), tier);
+  return run_json_harness(bench::has_flag(argc, argv, "--smoke"));
 }

@@ -85,12 +85,7 @@ int main(int argc, char** argv) {
               "2^%.1f orderings\n",
               kN, order_bits);
 
-  lwe::DbddParams params;
-  params.secret_dim = 1024;
-  params.error_dim = 1024;
-  params.q = 132120577.0;
-  params.secret_variance = 3.2 * 3.2;
-  params.error_variance = 3.2 * 3.2;
+  const lwe::DbddParams params = bench::seal128_params();
   const double baseline = lwe::estimate_lwe_security(params).beta;
 
   std::printf("\n%-44s %10s\n", "configuration (SEAL-128 estimator)", "bikz");

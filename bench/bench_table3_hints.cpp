@@ -24,12 +24,7 @@ int main(int argc, char** argv) {
       "Table III",
       "Cost of attack with/without hints for SEAL-128 (bikz; bits = bikz/2.986).");
 
-  lwe::DbddParams params;
-  params.secret_dim = 1024;
-  params.error_dim = 1024;
-  params.q = 132120577.0;
-  params.secret_variance = 3.2 * 3.2;
-  params.error_variance = 3.2 * 3.2;
+  const lwe::DbddParams params = bench::seal128_params();
 
   // --- row 1: attack without hints ---------------------------------------
   const lwe::SecurityEstimate baseline = lwe::estimate_lwe_security(params);

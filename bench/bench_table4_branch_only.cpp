@@ -26,12 +26,7 @@ int main(int argc, char** argv) {
       "Cost of attack with hints from ONLY the branch vulnerability\n"
       "(signs + zeros) for SEAL-128. Signs alone must NOT break the scheme.");
 
-  lwe::DbddParams params;
-  params.secret_dim = 1024;
-  params.error_dim = 1024;
-  params.q = 132120577.0;
-  params.secret_variance = 3.2 * 3.2;
-  params.error_variance = 3.2 * 3.2;
+  const lwe::DbddParams params = bench::seal128_params();
 
   const lwe::SecurityEstimate baseline = lwe::estimate_lwe_security(params);
   std::printf("\n");

@@ -42,7 +42,9 @@ SamplerCampaign::SamplerCampaign(CampaignConfig config)
   // append mostly without reallocating; later captures reuse the high-water
   // capacity.
   recorder_.reserve(detail::victim_instruction_limit(program_));
-  configure_victim_tier(machine_, config_.victim_tier);
+  // Every tier captures bit-identical traces (DESIGN.md §6f); the block
+  // tier is the fastest.
+  configure_victim_tier(machine_, VictimTier::kBlock);
 }
 
 FullCapture SamplerCampaign::capture(std::uint64_t seed) {

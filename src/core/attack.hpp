@@ -86,6 +86,7 @@ struct CoefficientGuess {
   double sign_margin = 0.0;  ///< relative margin of the sign decision
   [[nodiscard]] double posterior_variance() const;
   [[nodiscard]] double posterior_mean() const;
+  friend bool operator==(const CoefficientGuess&, const CoefficientGuess&) = default;
 };
 
 /// Robust single-capture attack outcome: the segmentation diagnosis plus

@@ -19,6 +19,7 @@ struct HintSummary {
   double mean_residual_variance = 0.0;  ///< over the approximate ones
   std::size_t sign_only = 0;  ///< abstained values demoted to sign-only hints
   std::size_t skipped = 0;    ///< abstained without a trusted sign: no hint
+  friend bool operator==(const HintSummary&, const HintSummary&) = default;
 };
 
 /// Integrates full-attack guesses (sign + value posteriors) for the error

@@ -1,10 +1,7 @@
 #include "obs/diagnostics.hpp"
 
-#include <cctype>
-#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 
 namespace reveal::obs {
@@ -43,216 +40,6 @@ void append_string(std::string& out, const std::string& s) {
   }
   out += '"';
 }
-
-/// Strict recursive-descent parser for the document shape to_json emits
-/// (objects, arrays, strings, numbers — no null/bool, no nested extras).
-class Parser {
- public:
-  explicit Parser(const std::string& text) : p_(text.c_str()), end_(p_ + text.size()) {}
-
-  [[nodiscard]] DiagnosticsReport parse() {
-    DiagnosticsReport report;
-    expect('{');
-    bool first = true;
-    while (!peek_is('}')) {
-      if (!first) expect(',');
-      first = false;
-      const std::string key = parse_string();
-      expect(':');
-      if (key == "dropped_events") {
-        report.dropped_events = parse_u64();
-      } else if (key == "stages") {
-        parse_array([&] { report.stages.push_back(parse_stage_row()); });
-      } else if (key == "counters") {
-        parse_array([&] { report.counters.push_back(parse_counter_row()); });
-      } else if (key == "gauges") {
-        parse_array([&] { report.gauges.push_back(parse_gauge_row()); });
-      } else if (key == "histograms") {
-        parse_array([&] { report.histograms.push_back(parse_histogram_row()); });
-      } else if (key == "confusion") {
-        parse_array([&] { report.confusion.push_back(parse_confusion_row()); });
-      } else {
-        fail("unknown top-level key '" + key + "'");
-      }
-    }
-    expect('}');
-    skip_ws();
-    if (p_ != end_) fail("trailing characters after document");
-    return report;
-  }
-
- private:
-  template <typename RowFn>
-  void parse_array(RowFn&& row) {
-    expect('[');
-    bool first = true;
-    while (!peek_is(']')) {
-      if (!first) expect(',');
-      first = false;
-      row();
-    }
-    expect(']');
-  }
-
-  /// Parses `{"k": v, ...}` dispatching each key through `field`.
-  template <typename FieldFn>
-  void parse_object(FieldFn&& field) {
-    expect('{');
-    bool first = true;
-    while (!peek_is('}')) {
-      if (!first) expect(',');
-      first = false;
-      const std::string key = parse_string();
-      expect(':');
-      field(key);
-    }
-    expect('}');
-  }
-
-  DiagnosticsReport::StageRow parse_stage_row() {
-    DiagnosticsReport::StageRow row;
-    parse_object([&](const std::string& key) {
-      if (key == "stage") row.stage = parse_string();
-      else if (key == "count") row.count = parse_u64();
-      else if (key == "total_ns") row.total_ns = parse_u64();
-      else if (key == "min_ns") row.min_ns = parse_u64();
-      else if (key == "max_ns") row.max_ns = parse_u64();
-      else fail("unknown stage-row key '" + key + "'");
-    });
-    return row;
-  }
-
-  DiagnosticsReport::CounterRow parse_counter_row() {
-    DiagnosticsReport::CounterRow row;
-    parse_object([&](const std::string& key) {
-      if (key == "name") row.name = parse_string();
-      else if (key == "value") row.value = parse_u64();
-      else fail("unknown counter-row key '" + key + "'");
-    });
-    return row;
-  }
-
-  DiagnosticsReport::GaugeRow parse_gauge_row() {
-    DiagnosticsReport::GaugeRow row;
-    parse_object([&](const std::string& key) {
-      if (key == "name") row.name = parse_string();
-      else if (key == "value") row.value = parse_double();
-      else fail("unknown gauge-row key '" + key + "'");
-    });
-    return row;
-  }
-
-  DiagnosticsReport::HistogramRow parse_histogram_row() {
-    DiagnosticsReport::HistogramRow row;
-    parse_object([&](const std::string& key) {
-      if (key == "name") row.name = parse_string();
-      else if (key == "lo") row.lo = parse_double();
-      else if (key == "hi") row.hi = parse_double();
-      else if (key == "sum") row.sum = parse_double();
-      else if (key == "counts") parse_array([&] { row.counts.push_back(parse_u64()); });
-      else fail("unknown histogram-row key '" + key + "'");
-    });
-    return row;
-  }
-
-  DiagnosticsReport::ConfusionRow parse_confusion_row() {
-    DiagnosticsReport::ConfusionRow row;
-    parse_object([&](const std::string& key) {
-      if (key == "truth") row.truth = parse_i32();
-      else if (key == "predicted") row.predicted = parse_i32();
-      else if (key == "count") row.count = parse_u64();
-      else fail("unknown confusion-row key '" + key + "'");
-    });
-    return row;
-  }
-
-  std::string parse_string() {
-    skip_ws();
-    if (p_ == end_ || *p_ != '"') fail("expected string");
-    ++p_;
-    std::string out;
-    while (p_ != end_ && *p_ != '"') {
-      if (*p_ == '\\') {
-        ++p_;
-        if (p_ == end_) fail("unterminated escape");
-        switch (*p_) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          default: fail("unsupported escape");
-        }
-        ++p_;
-      } else {
-        out += *p_++;
-      }
-    }
-    if (p_ == end_) fail("unterminated string");
-    ++p_;
-    return out;
-  }
-
-  const char* number_start() {
-    skip_ws();
-    if (p_ == end_) fail("expected number");
-    return p_;
-  }
-
-  double parse_double() {
-    const char* start = number_start();
-    char* after = nullptr;
-    errno = 0;
-    const double v = std::strtod(start, &after);
-    if (after == start) fail("expected number");
-    p_ = after;
-    return v;
-  }
-
-  std::uint64_t parse_u64() {
-    const char* start = number_start();
-    if (*start == '-') fail("expected unsigned integer");
-    char* after = nullptr;
-    errno = 0;
-    const std::uint64_t v = std::strtoull(start, &after, 10);
-    if (after == start || errno == ERANGE) fail("expected unsigned integer");
-    p_ = after;
-    return v;
-  }
-
-  std::int32_t parse_i32() {
-    const char* start = number_start();
-    char* after = nullptr;
-    errno = 0;
-    const long v = std::strtol(start, &after, 10);
-    if (after == start || errno == ERANGE || v < INT32_MIN || v > INT32_MAX)
-      fail("expected 32-bit integer");
-    p_ = after;
-    return static_cast<std::int32_t>(v);
-  }
-
-  void skip_ws() {
-    while (p_ != end_ && std::isspace(static_cast<unsigned char>(*p_))) ++p_;
-  }
-
-  bool peek_is(char c) {
-    skip_ws();
-    return p_ != end_ && *p_ == c;
-  }
-
-  void expect(char c) {
-    skip_ws();
-    if (p_ == end_ || *p_ != c)
-      fail(std::string("expected '") + c + "'");
-    ++p_;
-  }
-
-  [[noreturn]] void fail(const std::string& what) {
-    throw std::runtime_error("DiagnosticsReport::from_json: " + what);
-  }
-
-  const char* p_;
-  const char* end_;
-};
 
 }  // namespace
 
@@ -335,10 +122,6 @@ std::string DiagnosticsReport::to_json() const {
   return out;
 }
 
-DiagnosticsReport DiagnosticsReport::from_json(const std::string& json) {
-  return Parser(json).parse();
-}
-
 DiagnosticsReport make_report(const Registry& registry, const SpanTracer* tracer,
                               const sca::ConfusionMatrix* confusion) {
   DiagnosticsReport report;
@@ -374,15 +157,18 @@ DiagnosticsReport make_report(const Registry& registry, const SpanTracer* tracer
   return report;
 }
 
-void write_json_file(const DiagnosticsReport& report, const std::string& path) {
+void write_json_file(const std::string& json, const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr)
     throw std::runtime_error("obs::write_json_file: cannot open " + path);
-  const std::string json = report.to_json();
   const std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
   const int closed = std::fclose(f);
   if (written != json.size() || closed != 0)
     throw std::runtime_error("obs::write_json_file: short write to " + path);
+}
+
+void write_json_file(const DiagnosticsReport& report, const std::string& path) {
+  write_json_file(report.to_json(), path);
 }
 
 }  // namespace reveal::obs

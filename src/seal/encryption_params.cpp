@@ -71,12 +71,10 @@ Context::Context(EncryptionParameters parms) : parms_(std::move(parms)) {
       parms_.noise_max_deviation() < parms_.noise_standard_deviation())
     throw std::invalid_argument("Context: invalid noise distribution parameters");
 
-  ntt_tables_.reserve(moduli.size());
   fast_ntt_tables_.reserve(moduli.size());
   total_q_ = BigUInt(1);
   for (const auto& q : moduli) {
-    ntt_tables_.emplace_back(n, q);  // throws if q is not NTT-friendly
-    fast_ntt_tables_.emplace_back(n, q);
+    fast_ntt_tables_.emplace_back(n, q);  // throws if q is not NTT-friendly
     total_q_ = total_q_ * q.value();
   }
   if (BigUInt(t.value()) >= total_q_)

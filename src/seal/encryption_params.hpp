@@ -8,7 +8,6 @@
 
 #include "seal/biguint.hpp"
 #include "seal/modulus.hpp"
-#include "seal/ntt.hpp"
 #include "seal/ntt_fast.hpp"
 
 namespace reveal::seal {
@@ -82,10 +81,7 @@ class Context {
   [[nodiscard]] const Modulus& plain_modulus() const noexcept {
     return parms_.plain_modulus();
   }
-  [[nodiscard]] const std::vector<NttTables>& ntt_tables() const noexcept {
-    return ntt_tables_;
-  }
-  /// Shoup/Harvey tables — same transforms, ~6x faster; used on hot paths.
+  /// Shoup/Harvey NTT tables, one per coefficient modulus.
   [[nodiscard]] const std::vector<FastNttTables>& fast_ntt_tables() const noexcept {
     return fast_ntt_tables_;
   }
@@ -101,7 +97,6 @@ class Context {
 
  private:
   EncryptionParameters parms_;
-  std::vector<NttTables> ntt_tables_;
   std::vector<FastNttTables> fast_ntt_tables_;
   BigUInt total_q_;
   BigUInt delta_;

@@ -221,9 +221,6 @@ TEST_F(CampaignEquivalence, DiagnosticsCountersInvariantAcrossWorkerCounts) {
     EXPECT_EQ(report, reference)
         << "report:    " << report.to_json() << "\nreference: " << reference.to_json();
     EXPECT_EQ(diag.confusion, serial_diag.confusion);
-    // The full report (with timings) must survive a JSON round trip exactly.
-    const obs::DiagnosticsReport full = diag.report();
-    EXPECT_EQ(obs::DiagnosticsReport::from_json(full.to_json()), full);
   }
 }
 

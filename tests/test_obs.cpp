@@ -1,9 +1,8 @@
 // Observability-layer unit suite: the metrics registry's typed accessors
 // and name-keyed merge, the latency histogram's clamping buckets, the span
 // tracer's aggregate timings + bounded event ring, the NullSpanTracer
-// compile-away contract, and the DiagnosticsReport JSON round trip (every
-// finite double must survive serialize -> parse bit-exactly, and the strict
-// parser must reject documents the emitter could not have produced).
+// compile-away contract, and the DiagnosticsReport JSON document (every
+// finite double printed with enough digits to read back bit-exactly).
 
 #include <gtest/gtest.h>
 
@@ -302,28 +301,45 @@ DiagnosticsReport tricky_report() {
   return r;
 }
 
-TEST(ObsDiagnostics, JsonRoundTripIsBitExact) {
-  const DiagnosticsReport report = tricky_report();
-  const std::string json = report.to_json();
-  const DiagnosticsReport parsed = DiagnosticsReport::from_json(json);
-  EXPECT_EQ(parsed, report);
-  // Fixed point: re-serializing the parse reproduces the document.
-  EXPECT_EQ(parsed.to_json(), json);
+// The emitted document, byte for byte. Every double carries %.17g digits,
+// enough for any JSON reader's strtod to recover the exact bits: 0.1 keeps
+// its binary tail, DBL_MAX and the smallest denormal keep every digit.
+TEST(ObsDiagnostics, JsonDocumentIsExact) {
+  EXPECT_EQ(tricky_report().to_json(), R"({
+  "dropped_events": 9,
+  "stages": [
+    {"stage": "segmentation", "count": 3, "total_ns": 160, "min_ns": 30, "max_ns": 80},
+    {"stage": "classification", "count": 1, "total_ns": 42, "min_ns": 42, "max_ns": 42}
+  ],
+  "counters": [
+    {"name": "capture.count", "value": 48},
+    {"name": "hints.perfect", "value": 0}
+  ],
+  "gauges": [
+    {"name": "g.tenth", "value": 0.10000000000000001},
+    {"name": "g.huge", "value": 1.7976931348623157e+308},
+    {"name": "g.denormal", "value": 4.9406564584124654e-324},
+    {"name": "g.negative", "value": -123456.78901234567}
+  ],
+  "histograms": [
+    {"name": "segmentation.window_quality", "lo": 0, "hi": 1, "counts": [5, 0, 17, 2], "sum": 13.700000000000001}
+  ],
+  "confusion": [
+    {"truth": -3, "predicted": -3, "count": 101},
+    {"truth": -3, "predicted": 5, "count": 2},
+    {"truth": 0, "predicted": 0, "count": 640}
+  ]
 }
-
-TEST(ObsDiagnostics, EmptyReportRoundTrips) {
-  const DiagnosticsReport empty;
-  EXPECT_EQ(DiagnosticsReport::from_json(empty.to_json()), empty);
+)");
+  EXPECT_EQ(DiagnosticsReport{}.to_json(), R"({
+  "dropped_events": 0,
+  "stages": [],
+  "counters": [],
+  "gauges": [],
+  "histograms": [],
+  "confusion": []
 }
-
-TEST(ObsDiagnostics, StrictParserRejectsMalformedDocuments) {
-  const std::string good = tricky_report().to_json();
-  EXPECT_THROW((void)DiagnosticsReport::from_json(good + "x"), std::runtime_error);
-  EXPECT_THROW((void)DiagnosticsReport::from_json("{\"unknown_key\": 1}"),
-               std::runtime_error);
-  EXPECT_THROW((void)DiagnosticsReport::from_json("{"), std::runtime_error);
-  EXPECT_THROW((void)DiagnosticsReport::from_json(""), std::runtime_error);
-  EXPECT_THROW((void)DiagnosticsReport::from_json("[]"), std::runtime_error);
+)");
 }
 
 TEST(ObsDiagnostics, MakeReportOrdersSectionsAndSkipsIdleStages) {
