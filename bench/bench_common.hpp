@@ -175,6 +175,12 @@ Leg<F> leg(std::size_t iters, F fn) {
   return {iters, std::move(fn)};
 }
 
+/// The min and median of per-operation samples.
+inline Timing timing_of(std::vector<double> ns) {
+  std::sort(ns.begin(), ns.end());
+  return {ns.front(), ns[ns.size() / 2]};
+}
+
 /// Runs round r of a window, calls r * iters / kRounds up to (but not
 /// including) (r + 1) * iters / kRounds, and returns its wall time in ns.
 template <typename F>
@@ -207,11 +213,7 @@ std::array<Timing, sizeof...(F)> time_legs(bool smoke, Leg<F>... legs) {
     }
   }
   std::array<Timing, kLegs> out;
-  for (std::size_t k = 0; k < kLegs; ++k) {
-    std::vector<double>& s = per_op[k];
-    std::sort(s.begin(), s.end());
-    out[k] = {s.front(), s[s.size() / 2]};
-  }
+  for (std::size_t k = 0; k < kLegs; ++k) out[k] = timing_of(std::move(per_op[k]));
   return out;
 }
 

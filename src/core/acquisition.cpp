@@ -54,6 +54,11 @@ FullCapture SamplerCampaign::capture(std::uint64_t seed) {
 }
 
 void SamplerCampaign::capture_into(std::uint64_t seed, FullCapture& out) {
+  acquire_into(seed, out);
+  segment(out);
+}
+
+void SamplerCampaign::acquire_into(std::uint64_t seed, FullCapture& out) {
   // Derive the firmware PRNG seed and the measurement-noise seed from the
   // campaign seed; both change per capture, like fresh encryptions observed
   // through a new acquisition.
@@ -71,29 +76,36 @@ void SamplerCampaign::capture_into(std::uint64_t seed, FullCapture& out) {
     out.trace = fault_injector_.apply(std::move(out.trace), seed, &fault_stats_);
   }
   out.noise = run.noise;
-  out.segments = sca::segment_trace(out.trace, config_.segmentation);
-  const double threshold = config_.segmentation.threshold > 0.0
-                               ? config_.segmentation.threshold
-                               : sca::auto_threshold(out.trace);
-  anchor_windows_at_burst_edge(out.trace, out.segments, threshold);
+  out.segments.clear();
 
   out.permutation.clear();
   if (program_.shuffled) {
-    // The Fisher-Yates divisions create n-1 extra bursts before the
-    // sampling loop: the sampling windows are the last n segments. Reorder
-    // the ground truth into slot (time) order.
+    // Reorder the ground truth into slot (time) order.
     out.permutation = read_permutation(program_, machine_);
-    if (out.segments.size() == 2 * config_.n - 1) {
-      out.segments.erase(out.segments.begin(),
-                         out.segments.end() - static_cast<std::ptrdiff_t>(config_.n));
-    } else {
-      out.segments.clear();  // unexpected burst count: reject the capture
-    }
     std::vector<std::int64_t> slot_noise(config_.n, 0);
     for (std::size_t slot = 0; slot < config_.n; ++slot) {
       slot_noise[slot] = run.noise[out.permutation[slot]];
     }
     out.noise = std::move(slot_noise);
+  }
+}
+
+void SamplerCampaign::segment(FullCapture& capture) const {
+  capture.segments = sca::segment_trace(capture.trace, config_.segmentation);
+  const double threshold = config_.segmentation.threshold > 0.0
+                               ? config_.segmentation.threshold
+                               : sca::auto_threshold(capture.trace);
+  anchor_windows_at_burst_edge(capture.trace, capture.segments, threshold);
+  if (program_.shuffled) {
+    // The Fisher-Yates divisions create n-1 extra bursts before the
+    // sampling loop: the sampling windows are the last n segments.
+    if (capture.segments.size() == 2 * config_.n - 1) {
+      capture.segments.erase(
+          capture.segments.begin(),
+          capture.segments.end() - static_cast<std::ptrdiff_t>(config_.n));
+    } else {
+      capture.segments.clear();  // unexpected burst count: reject the capture
+    }
   }
 }
 

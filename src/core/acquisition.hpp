@@ -83,8 +83,16 @@ class SamplerCampaign {
   /// capacity. Passing the same FullCapture across a campaign's captures
   /// makes acquisition allocation-free in steady state — the internal
   /// recorder is persistent and pre-reserved from the firmware's
-  /// instruction budget.
+  /// instruction budget. It is acquire_into() followed by segment().
   void capture_into(std::uint64_t seed, FullCapture& out);
+
+  /// The acquisition half of capture_into: runs the victim through the
+  /// recorder, applies the configured faults, and fills `trace`, the
+  /// ground-truth `noise` and, for shuffled firmware, `permutation` with
+  /// the noise in slot order. `segments` is left empty. A caller that
+  /// segments the trace itself (run_recovery_campaign's robust sweep)
+  /// needs only this half.
+  void acquire_into(std::uint64_t seed, FullCapture& out);
 
   /// Collects labelled windows from `runs` captures (profiling phase).
   /// Captures whose segmentation does not yield exactly n windows are
@@ -105,6 +113,12 @@ class SamplerCampaign {
   }
 
  private:
+  /// The segmentation half of capture_into: cuts `capture.trace` into
+  /// windows with config().segmentation, anchors them at the bursts'
+  /// falling edges and, for shuffled firmware, keeps the last n windows
+  /// (an unexpected burst count leaves `segments` empty).
+  void segment(FullCapture& capture) const;
+
   CampaignConfig config_;
   VictimProgram program_;
   power::LeakageModel model_;

@@ -25,8 +25,9 @@ class CampaignReplicas {
     return *replicas_[w];
   }
 
-  /// Per-worker capture scratch: capture_into() reuses its buffers, so a
-  /// worker's acquisition stops allocating after its first few captures.
+  /// Per-worker capture scratch: capture_into() and acquire_into() reuse
+  /// its buffers, so a worker's acquisition stops allocating after its
+  /// first few captures.
   FullCapture& scratch_for(std::size_t w) { return scratch_[w]; }
 
   /// Replica-level fault activation counts folded in worker-index order.
@@ -217,7 +218,8 @@ RecoveryCampaignResult run_campaign_impl(WorkerPool& pool, const RevealAttack& a
   // Per-capture stage on the workers. Each capture is one task: the inner
   // per-window attack stays sequential here (nesting run_indexed on the
   // same pool is not allowed), which is the right granularity anyway —
-  // captures outnumber workers in every campaign-shaped sweep.
+  // captures outnumber workers in every campaign-shaped sweep. The capture
+  // is only acquired: the robust sweep segments the trace itself.
   const std::size_t worker_slots = std::max<std::size_t>(pool.num_workers(), 1);
   std::vector<HintTally> tallies(worker_slots);
   CampaignReplicas replicas(config, pool.num_workers());
@@ -240,7 +242,7 @@ RecoveryCampaignResult run_campaign_impl(WorkerPool& pool, const RevealAttack& a
       const auto index = static_cast<std::uint32_t>(i);
       {
         auto span = o.tracer.span(obs::Stage::kCapture, index);
-        replicas.for_worker(w).capture_into(seeds[i], cap);
+        replicas.for_worker(w).acquire_into(seeds[i], cap);
       }
       res = attack.attack_capture_robust_traced(cap.trace, config.n,
                                                 config.segmentation, o.tracer, index);
@@ -250,7 +252,7 @@ RecoveryCampaignResult run_campaign_impl(WorkerPool& pool, const RevealAttack& a
       }
       count_capture(o, config, cap, res, records);
     } else {
-      replicas.for_worker(w).capture_into(seeds[i], cap);
+      replicas.for_worker(w).acquire_into(seeds[i], cap);
       res = attack.attack_capture_robust(cap.trace, config.n, config.segmentation);
       route_records();
     }

@@ -91,12 +91,12 @@ struct SegmentationResult {
 /// Never throws on bad data: a hopeless trace comes back as kFailed with
 /// the closest candidate attached for diagnostics.
 ///
-/// The sweep shares all per-candidate O(L) work: each distinct smoothing
-/// window is smoothed once, each (smoothing, threshold) pair is scanned for
-/// bursts once, and min-burst variants reuse those runs. Candidates that
-/// normalize to an identical effective configuration are evaluated once
-/// (`attempts` counts distinct evaluations). The selected segmentation,
-/// config, status and scores are bit-identical to
+/// The sweep shares all per-candidate O(L) work: one fused pass over the
+/// samples smooths them with every distinct window and finds the bursts of
+/// every (smoothing, threshold) pair, and min-burst variants reuse those
+/// runs. Candidates that normalize to an identical effective configuration
+/// are evaluated once (`attempts` counts distinct evaluations). The
+/// selected segmentation, config, status and scores are bit-identical to
 /// segment_trace_robust_reference; only `attempts` may be lower.
 [[nodiscard]] SegmentationResult segment_trace_robust(
     const std::vector<double>& samples, std::size_t expected_windows,

@@ -1,7 +1,9 @@
 #include "analysis_reference.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
+#include <limits>
 #include <stdexcept>
 
 namespace reveal::sca {
@@ -18,6 +20,40 @@ std::vector<double> smooth_reference(const std::vector<double>& samples,
     out[i] = acc / static_cast<double>(std::min(i + 1, window));
   }
   return out;
+}
+
+std::vector<Segment> segment_trace_reference(const std::vector<double>& samples,
+                                             const SegmentationConfig& config) {
+  if (samples.empty()) return {};
+  const std::vector<double> s = smooth(samples, config.smooth_window);
+  const double threshold = config.threshold > 0.0 ? config.threshold : auto_threshold(s);
+  std::vector<Segment> segments;
+  std::size_t run_start = 0;
+  bool in_run = false;
+  for (std::size_t i = 0; i <= s.size(); ++i) {
+    const bool above = i < s.size() && s[i] > threshold;
+    if (above && !in_run) {
+      run_start = i;
+      in_run = true;
+    } else if (!above && in_run) {
+      in_run = false;
+      if (i - run_start < config.min_burst_length) continue;
+      if (!segments.empty()) segments.back().window_end = run_start;
+      segments.push_back({run_start, i, i, s.size()});
+    }
+  }
+  return segments;
+}
+
+double auto_threshold_reference(const std::vector<double>& samples) {
+  if (samples.empty()) throw std::invalid_argument("auto_threshold: empty trace");
+  std::vector<double> sorted = samples;
+  std::sort(sorted.begin(), sorted.end());
+  const double lo = sorted[sorted.size() * 20 / 100];
+  const double hi = sorted[std::min(sorted.size() - 1, sorted.size() * 95 / 100)];
+  if (hi - lo < 1e-9 * std::max(1.0, std::abs(hi)))
+    return std::numeric_limits<double>::infinity();
+  return 0.5 * (lo + hi);
 }
 
 }  // namespace reveal::sca

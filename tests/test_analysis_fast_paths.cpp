@@ -1,16 +1,21 @@
 // Differential tests for the analysis-plane fast kernels: every optimized
-// path (shared-work segmentation sweep, FFT alignment, flat-GSO LLL) is
-// fuzzed against its retained *_reference implementation and must agree
-// bit-for-bit. Also covers the compensated-smoothing drift bound.
+// path (fused segmentation sweep, selection-based auto threshold, FFT
+// alignment, flat-GSO LLL) is fuzzed against its retained *_reference
+// implementation and must agree bit-for-bit. Also covers the
+// compensated-smoothing drift bound.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "analysis_reference.hpp"
+#include "core/acquisition.hpp"
 #include "lattice/lattice.hpp"
 #include "numeric/fft.hpp"
 #include "numeric/rng.hpp"
@@ -113,22 +118,56 @@ std::vector<double> fuzz_burst_trace(num::Xoshiro256StarStar& rng, std::size_t* 
   return trace;
 }
 
+void expect_segments_equal(const std::vector<Segment>& fast,
+                           const std::vector<Segment>& ref) {
+  ASSERT_EQ(fast.size(), ref.size());
+  for (std::size_t i = 0; i < fast.size(); ++i) {
+    EXPECT_EQ(fast[i].burst_begin, ref[i].burst_begin);
+    EXPECT_EQ(fast[i].burst_end, ref[i].burst_end);
+    EXPECT_EQ(fast[i].window_begin, ref[i].window_begin);
+    EXPECT_EQ(fast[i].window_end, ref[i].window_end);
+  }
+}
+
 void expect_sweep_results_equal(const SegmentationResult& fast,
                                 const SegmentationResult& ref) {
   EXPECT_EQ(fast.status, ref.status);
-  ASSERT_EQ(fast.segments.size(), ref.segments.size());
-  for (std::size_t i = 0; i < fast.segments.size(); ++i) {
-    EXPECT_EQ(fast.segments[i].burst_begin, ref.segments[i].burst_begin);
-    EXPECT_EQ(fast.segments[i].burst_end, ref.segments[i].burst_end);
-    EXPECT_EQ(fast.segments[i].window_begin, ref.segments[i].window_begin);
-    EXPECT_EQ(fast.segments[i].window_end, ref.segments[i].window_end);
-  }
+  expect_segments_equal(fast.segments, ref.segments);
   EXPECT_EQ(fast.window_quality, ref.window_quality);  // bit-equal doubles
   EXPECT_EQ(fast.config.smooth_window, ref.config.smooth_window);
   EXPECT_EQ(fast.config.threshold, ref.config.threshold);
   EXPECT_EQ(fast.config.min_burst_length, ref.config.min_burst_length);
   EXPECT_EQ(fast.burst_consistency, ref.burst_consistency);
   EXPECT_LE(fast.attempts, ref.attempts);
+}
+
+TEST(SegmentTraceFastPath, FuzzMatchesSmoothThenScan) {
+  // segment_trace's fused pass against smooth() + a strict `>` scan, on
+  // every window the sweep grids use and on thresholds that the smoothed
+  // samples meet exactly (quantized traces) or just miss.
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    num::Xoshiro256StarStar rng(seed);
+    std::size_t bursts = 0;
+    std::vector<double> trace = fuzz_burst_trace(rng, &bursts);
+    if (seed % 2 == 0) {
+      for (double& v : trace) v = std::round(v * 4.0) / 4.0;
+    }
+    // Open and close on a burst: runs that meet the trace's ends.
+    std::fill(trace.begin(), trace.begin() + 30, 9.0);
+    std::fill(trace.end() - 30, trace.end(), 9.0);
+    for (std::size_t window = 1; window <= 12; ++window) {
+      for (const double threshold : {0.0, 5.0, std::nextafter(5.0, 0.0), 9.0, 1.0}) {
+        SegmentationConfig cfg;
+        cfg.smooth_window = window;
+        cfg.threshold = threshold;
+        cfg.min_burst_length = 1 + rng() % 20;
+        SCOPED_TRACE("window " + std::to_string(window) + " threshold " +
+                     std::to_string(threshold));
+        expect_segments_equal(segment_trace(trace, cfg), segment_trace_reference(trace, cfg));
+      }
+    }
+  }
 }
 
 TEST(SegmentationSweepFastPath, FuzzMatchesReference) {
@@ -188,6 +227,154 @@ TEST(SegmentationSweepFastPath, DedupCountsDistinctSegmentationsOnly) {
   EXPECT_EQ(ref.attempts, 59u);
   // Fast: pass 1 + the 30 distinct configurations minus the base config.
   EXPECT_EQ(fast.attempts, 30u);
+}
+
+TEST(SegmentationSweepFastPath, FaultedPaperScaleCapturesMatchReference) {
+  // The degraded_campaign acquisition: n = 1024 sampler captures under the
+  // L3 FaultSpec (jitter 1.0, dropout 0.05, 4 glitches). Pass 1 misses the
+  // window count on these, so the whole fused sweep runs on ~700k samples.
+  core::CampaignConfig cfg;
+  cfg.n = 1024;
+  cfg.moduli = {132120577ULL};
+  cfg.num_workers = 0;
+  cfg.faults.jitter_sigma = 1.0;
+  cfg.faults.dropout_rate = 0.05;
+  cfg.faults.glitch_count = 4;
+  core::SamplerCampaign campaign(cfg);
+  for (const std::uint64_t seed : {7u, 9001u, 31337u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const std::vector<double> trace = campaign.capture(seed).trace;
+    const SegmentationResult fast = segment_trace_robust(trace, cfg.n, cfg.segmentation);
+    const SegmentationResult ref =
+        segment_trace_robust_reference(trace, cfg.n, cfg.segmentation);
+    expect_sweep_results_equal(fast, ref);
+    EXPECT_EQ(fast.status, SegmentationStatus::kRecovered);
+    // Every (window, threshold, min-burst) entry of the grid is distinct
+    // here: pass 1 plus the 59 other candidates.
+    EXPECT_EQ(fast.attempts, 60u);
+  }
+}
+
+TEST(SegmentationSweepFastPath, TraceEndingInsideABurstMatchesReference) {
+  // The last burst runs off the end of the trace: its run must close at
+  // the trace end, leaving an empty final window.
+  std::vector<double> trace(600, 1.0);
+  for (const std::size_t s : {60u, 250u}) {
+    for (std::size_t i = s; i < s + 30; ++i) trace[i] = 10.0;
+  }
+  for (std::size_t i = 560; i < trace.size(); ++i) trace[i] = 10.0;
+  SegmentationConfig cfg;
+  cfg.smooth_window = 5;
+  cfg.threshold = 5.0;
+  cfg.min_burst_length = 16;
+  const std::vector<Segment> segs = segment_trace(trace, cfg);
+  ASSERT_EQ(segs.size(), 3u);
+  EXPECT_EQ(segs.back().burst_end, trace.size());
+  EXPECT_EQ(segs.back().window_begin, trace.size());
+  EXPECT_EQ(segs.back().window_end, trace.size());
+  for (const std::size_t expected : {2u, 3u, 5u}) {
+    SCOPED_TRACE("expected " + std::to_string(expected));
+    expect_sweep_results_equal(segment_trace_robust(trace, expected, cfg),
+                               segment_trace_robust_reference(trace, expected, cfg));
+  }
+}
+
+TEST(SegmentationSweepFastPath, SamplesEqualToAScaledThresholdAreNotAbove) {
+  // Plateaus sit exactly on the sweep's scaled thresholds, and on the next
+  // double above each. The fast path decides full-window samples by
+  // comparing window sums against exact quotient bounds, so an off-by-one
+  // there shows up as a run gained or lost at one of these plateaus.
+  // Window 1 compares the raw values; the 4.0 plateaus also smooth to
+  // exactly 4.0 at every window. The trace opens on one, so the first
+  // samples (before any window is full) meet the threshold too.
+  const double base = 4.0;
+  std::vector<double> trace(2600, 0.0);
+  std::fill(trace.begin(), trace.begin() + 30, base);
+  std::size_t pos = 30;
+  for (const double scale : {1.0, 0.85, 1.15, 0.7, 1.3}) {
+    const double at = base * scale;
+    for (const double level : {at, std::nextafter(at, 100.0)}) {
+      for (std::size_t i = pos; i < pos + 40; ++i) trace[i] = level;
+      pos += 90;
+      for (std::size_t i = pos; i < pos + 40; ++i) trace[i] = 9.0;  // a genuine burst
+      pos += 120;
+    }
+  }
+  SegmentationConfig cfg;
+  cfg.smooth_window = 3;  // sweeps windows 3, 5, 1 and 7
+  cfg.threshold = base;
+  cfg.min_burst_length = 4;
+  // Strict `>`: of the plateaus, only those above 4.0 are bursts: 4.6 and
+  // 5.2, and the next double above each of 4.0, 4.6 and 5.2. Ten genuine
+  // bursts come on top.
+  SegmentationConfig raw = cfg;
+  raw.smooth_window = 1;
+  EXPECT_EQ(segment_trace(trace, raw).size(), 15u);
+  for (const std::size_t expected : {10u, 15u, 17u, 40u}) {
+    SCOPED_TRACE("expected " + std::to_string(expected));
+    expect_sweep_results_equal(segment_trace_robust(trace, expected, cfg),
+                               segment_trace_robust_reference(trace, expected, cfg));
+  }
+}
+
+TEST(SegmentationSweepFastPath, NonPositiveAutoThresholdSweepMatchesReference) {
+  // A trace below zero has a negative automatic threshold. The reference
+  // hands segment_trace scaled copies of it, which are not positive, so
+  // each candidate falls back to the automatic threshold of its own
+  // smoothing; the fast path must compare against those same thresholds.
+  num::Xoshiro256StarStar rng(17);
+  std::vector<double> trace(2000);
+  for (double& v : trace) v = -6.0 + rng.gaussian(0.0, 0.6);
+  for (std::size_t s = 50; s + 60 < trace.size(); s += 170) {
+    for (std::size_t i = s; i < s + 25 + rng() % 10; ++i) trace[i] = 1.0 + rng.gaussian(0.0, 0.4);
+  }
+  SegmentationConfig cfg;
+  cfg.smooth_window = 5;
+  cfg.threshold = 0.0;
+  cfg.min_burst_length = 16;
+  ASSERT_LT(auto_threshold(smooth(trace, cfg.smooth_window)), 0.0);
+  for (const std::size_t expected : {5u, 11u, 30u}) {
+    SCOPED_TRACE("expected " + std::to_string(expected));
+    expect_sweep_results_equal(segment_trace_robust(trace, expected, cfg),
+                               segment_trace_robust_reference(trace, expected, cfg));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Automatic threshold selection
+
+TEST(AutoThresholdSelection, MatchesSortReference) {
+  num::Xoshiro256StarStar rng(23);
+  const auto check = [](const std::vector<double>& samples) {
+    const double fast = auto_threshold(samples);
+    const double ref = auto_threshold_reference(samples);
+    EXPECT_EQ(fast, ref);  // bit-equal, +inf included
+  };
+  // Sizes 1-5: the two percentile indices coincide or sit side by side.
+  for (std::size_t size = 1; size <= 5; ++size) {
+    SCOPED_TRACE("size " + std::to_string(size));
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<double> samples(size);
+      for (double& v : samples) v = rng.gaussian(0.0, 3.0);
+      check(samples);
+    }
+  }
+  // Many tied values, and random lengths.
+  for (int trial = 0; trial < 50; ++trial) {
+    std::vector<double> samples(1 + rng() % 3000);
+    for (double& v : samples) v = static_cast<double>(rng() % 4);
+    check(samples);
+    for (double& v : samples) v = rng.gaussian(5.0, 2.0);
+    check(samples);
+  }
+}
+
+TEST(AutoThresholdSelection, FlatTraceReturnsInfinity) {
+  for (const std::size_t size : {1u, 2u, 5u, 1000u}) {
+    const std::vector<double> flat(size, 2.5);
+    EXPECT_EQ(auto_threshold(flat), std::numeric_limits<double>::infinity());
+    EXPECT_EQ(auto_threshold_reference(flat), std::numeric_limits<double>::infinity());
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/acquisition.hpp"
@@ -184,6 +186,91 @@ TEST_F(CampaignEquivalence, DiagnosticsSinkDoesNotChangeAnyOutputByte) {
     EXPECT_EQ(diag.registry.counter_value("capture.count"), seeds.size());
     EXPECT_EQ(diag.tracer.timing(obs::Stage::kCapture).count, seeds.size());
     EXPECT_EQ(diag.tracer.timing(obs::Stage::kEstimation).count, 1u);
+  }
+}
+
+TEST_F(CampaignEquivalence, CampaignEqualsCaptureAttackRouteLoop) {
+  // run_recovery_campaign only acquires each capture and leaves all the
+  // segmentation to the robust sweep. It must still equal the plain loop
+  // over capture() (which segments too), attack_capture_robust and
+  // route_guess: same captures, same hints, same report, byte for byte.
+  // Faults at degraded_campaign's level make pass 1 miss on the first of
+  // these captures, so the sweep runs there.
+  CampaignConfig cfg = degraded_config();
+  cfg.faults.jitter_sigma = 1.0;
+  cfg.faults.dropout_rate = 0.05;
+  cfg.faults.glitch_count = 4;
+  lwe::DbddParams params;
+  params.secret_dim = 1024;
+  params.error_dim = 1024;
+  params.q = 132120577.0;
+  params.secret_variance = 3.2 * 3.2;
+  params.error_variance = 3.2 * 3.2;
+  const HintPolicy policy;
+  const std::vector<std::uint64_t> seeds = CampaignRunner::stream_seeds(3333, 3);
+
+  CampaignRunner runner(0);
+  const RecoveryCampaignResult campaign =
+      runner.run_recovery_campaign(*attack_, cfg, seeds, policy, params);
+
+  SamplerCampaign sampler(cfg);
+  RecoveryCampaignResult loop;
+  HintTally tally;
+  lwe::DbddEstimator estimator(params);
+  sca::RecoveryReport& rep = loop.report;
+  rep.expected_windows = seeds.size() * cfg.n;
+  rep.segmentation_status = sca::SegmentationStatus::kOk;
+  double consistency_sum = 0.0;
+  std::size_t swept = 0;
+  for (const std::uint64_t seed : seeds) {
+    const FullCapture cap = sampler.capture(seed);
+    RobustCaptureResult res = attack_->attack_capture_robust(cap.trace, cfg.n, cfg.segmentation);
+    std::vector<HintRecord> records;
+    if (res.segmentation.status != sca::SegmentationStatus::kFailed) {
+      for (const CoefficientGuess& g : res.guesses) {
+        records.push_back(route_guess(g, policy));
+        tally.add(records.back());
+        apply_hint(estimator, records.back());
+      }
+    }
+    swept += res.segmentation.attempts > 1;
+    rep.recovered_windows += res.segmentation.segments.size();
+    rep.segmentation_attempts += res.segmentation.attempts;
+    consistency_sum += res.segmentation.burst_consistency;
+    rep.segmentation_status = std::max(rep.segmentation_status, res.segmentation.status);
+    for (const CoefficientGuess& g : res.guesses) {
+      switch (g.quality) {
+        case GuessQuality::kOk: ++rep.ok_guesses; break;
+        case GuessQuality::kLowConfidence: ++rep.low_confidence_guesses; break;
+        case GuessQuality::kAbstained: ++rep.abstained_guesses; break;
+      }
+    }
+    loop.captures.push_back(std::move(res));
+    loop.hints.push_back(std::move(records));
+  }
+  ASSERT_GT(swept, 0u) << "no capture ran the segmentation sweep";
+  loop.hint_totals = tally.summary();
+  rep.burst_consistency = consistency_sum / static_cast<double>(seeds.size());
+  rep.perfect_hints = loop.hint_totals.perfect;
+  rep.approximate_hints = loop.hint_totals.approximate;
+  rep.sign_only_hints = loop.hint_totals.sign_only;
+  rep.dropped_hints = loop.hint_totals.skipped;
+  const lwe::SecurityEstimate estimate = estimator.estimate();
+  rep.bikz = estimate.beta;
+  rep.bits = estimate.bits;
+
+  expect_results_identical(loop, campaign);
+  for (std::size_t i = 0; i < seeds.size(); ++i) {
+    SCOPED_TRACE("capture " + std::to_string(i));
+    const auto& a = loop.captures[i].segmentation;
+    const auto& b = campaign.captures[i].segmentation;
+    ASSERT_EQ(a.segments.size(), b.segments.size());
+    for (std::size_t j = 0; j < a.segments.size(); ++j) {
+      EXPECT_EQ(a.segments[j].burst_begin, b.segments[j].burst_begin);
+      EXPECT_EQ(a.segments[j].burst_end, b.segments[j].burst_end);
+      EXPECT_EQ(a.segments[j].window_begin, b.segments[j].window_begin);
+      EXPECT_EQ(a.segments[j].window_end, b.segments[j].window_end);
+    }
   }
 }
 
