@@ -19,9 +19,7 @@
 
 #include "core/acquisition.hpp"
 #include "core/attack.hpp"
-#include "lattice/lattice.hpp"
 #include "lwe/dbdd.hpp"
-#include "numeric/rng.hpp"
 #include "obs/diagnostics.hpp"
 
 namespace reveal::bench {
@@ -68,18 +66,6 @@ inline core::AttackConfig gated_attack_config() {
   acfg.sign_fit_threshold = 2.5;
   acfg.value_fit_threshold = 4.0;
   return acfg;
-}
-
-/// A fixed-seed lattice basis of the shape the DBDD embedding produces
-/// after hint intersection: near-diagonal with dense noise.
-inline lattice::Basis dbdd_shaped_basis(std::size_t n, std::uint64_t seed) {
-  num::Xoshiro256StarStar rng(seed);
-  lattice::Basis basis(n, std::vector<std::int64_t>(n, 0));
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) basis[i][j] = rng.uniform_int(-50, 50);
-    basis[i][i] += 150;
-  }
-  return basis;
 }
 
 /// Wall-clock stopwatch started at construction.

@@ -1,6 +1,6 @@
-// Paper-scale lattice-plane regression harness: the maintained-GSO BKZ and
-// the BKZ-simulator bikz estimator, each timed against its
-// pre-optimization reference with identity gates.
+// Paper-scale lattice-plane regression harness: the BKZ-simulator bikz
+// estimator, timed against its pre-optimization reference with identity
+// gates, and the paper's bikz-vs-hints curves.
 //
 //   bench_lattice [--smoke]
 //
@@ -20,7 +20,6 @@
 
 #include "bench_common.hpp"
 #include "lattice/bkz_sim.hpp"
-#include "lattice/lattice.hpp"
 #include "lwe/dbdd.hpp"
 
 using namespace reveal;
@@ -34,51 +33,7 @@ int run_json_harness(bool smoke) {
   bench::JsonWriter json;
   json.text("bench", "lattice").flag("smoke", smoke);
 
-  // Process warmup: touch every code path once at toy size so the first
-  // timed leg does not absorb cold-start costs (page faults, frequency
-  // ramp, lazy dynamic linking).
-  {
-    lattice::Basis wb = bench::dbdd_shaped_basis(12, 3);
-    lattice::BkzParams wp;
-    wp.block_size = 6;
-    (void)lattice::bkz_reduce(wb, wp);
-    wb = bench::dbdd_shaped_basis(12, 3);
-    (void)lattice::bkz_reduce_reference(wb, wp);
-  }
-
-  // ---- leg 1: maintained-GSO BKZ vs per-position recompute -------------
-  const std::size_t bkz_n = smoke ? 18 : 34;
-  lattice::BkzParams bkz_params;
-  bkz_params.block_size = smoke ? 8 : 12;
-  bkz_params.max_tours = 8;
-  const lattice::Basis bkz_input = bench::dbdd_shaped_basis(bkz_n, 11);
-
-  lattice::Basis bkz_fast_basis;
-  std::size_t bkz_fast_ins = 0;
-  lattice::Basis bkz_ref_basis;
-  std::size_t bkz_ref_ins = 0;
-  const auto [bkz_fast, bkz_ref] = bench::time_legs(
-      smoke,
-      bench::leg(1,
-                 [&](std::size_t) {
-                   bkz_fast_basis = bkz_input;
-                   bkz_fast_ins = lattice::bkz_reduce(bkz_fast_basis, bkz_params);
-                 }),
-      bench::leg(1, [&](std::size_t) {
-        bkz_ref_basis = bkz_input;
-        bkz_ref_ins = lattice::bkz_reduce_reference(bkz_ref_basis, bkz_params);
-      }));
-  const double bkz_speedup = bench::speedup(bkz_fast, bkz_ref);
-  const bool bkz_identical =
-      bkz_fast_basis == bkz_ref_basis && bkz_fast_ins == bkz_ref_ins;
-  gates.at_least("bkz_gso_speedup_min", bkz_speedup, 1.5);
-  gates.require("bkz_gso_identical", bkz_identical);
-  json.object("bkz_gso")
-      .count("n", bkz_n).count("block", bkz_params.block_size).count("insertions", bkz_fast_ins)
-      .timing("fast_ms", bkz_fast, "%.2f", 1e-6).timing("baseline_ms", bkz_ref, "%.2f", 1e-6)
-      .num("speedup", bkz_speedup, "%.2f").flag("identical", bkz_identical).end();
-
-  // ---- leg 2: BKZ-simulator bisection vs linear-scan anchor ------------
+  // ---- leg 1: BKZ-simulator bisection vs linear-scan anchor ------------
   // Overlapping-dimension anchor: moderate dim so the O(d^2)-per-tour
   // reference scan stays benchmarkable; q small enough that the intersect
   // lands mid-range.
@@ -122,7 +77,7 @@ int run_json_harness(bool smoke) {
       .timing("fast_ms", sim_fast, "%.2f", 1e-6).timing("baseline_ms", sim_ref, "%.2f", 1e-6)
       .num("speedup", sim_speedup, "%.2f").flag("identical", sim_identical).end();
 
-  // ---- leg 3: paper curves (Tables III/IV shape at n = 1024) -----------
+  // ---- leg 2: paper curves (Tables III/IV shape at n = 1024) -----------
   const lwe::DbddParams paper = bench::seal128_params(smoke ? 8 : 1);
   const std::vector<std::size_t> curve_counts =
       smoke ? std::vector<std::size_t>{0, 64, 128}

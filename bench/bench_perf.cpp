@@ -2,8 +2,8 @@
 //
 //   bench_perf [--smoke]
 //
-// Times the victim simulator's full execution ladder (decode-per-step
-// reference, predecode cache, basic-block translation) and the shared-work
+// Times the victim simulator's execution ladder (decode-per-step reference
+// vs basic-block translation) and the shared-work
 // template scoring against their pre-optimization references, plus
 // segmentation / capture / NTT throughput, and writes BENCH_perf.json. The
 // run fails (nonzero exit) if the fast paths are not byte-identical: every
@@ -29,7 +29,6 @@
 #include "core/hints.hpp"
 #include "core/victim.hpp"
 #include "lwe/dbdd.hpp"
-#include "lattice/lattice.hpp"
 #include "numeric/matrix.hpp"
 #include "numeric/rng.hpp"
 #include "sca/alignment.hpp"
@@ -61,34 +60,26 @@ bool events_equal(const riscv::InstrEvent& a, const riscv::InstrEvent& b) {
          a.is_mem_write == b.is_mem_write && a.cycles == b.cycles;
 }
 
-/// Every tier of the execution ladder (reference -> predecode -> block)
-/// over several seeds: event streams, cycle/instruction counters and
-/// decoded noise must all match the decode-per-step anchor exactly.
+/// Both tiers of the execution ladder over several seeds: event streams,
+/// cycle/instruction counters and decoded noise must all match the
+/// decode-per-step anchor exactly.
 bool victim_identity_gate() {
   const core::VictimProgram prog = core::build_sampler_firmware(64, {132120577ULL});
   riscv::Machine ref_machine(prog.memory_bytes);
-  riscv::Machine pre_machine(prog.memory_bytes);
   riscv::Machine blk_machine(prog.memory_bytes);
   for (std::uint32_t seed = 1; seed <= 5; ++seed) {
     EventCollector ref_events;
-    EventCollector pre_events;
     EventCollector blk_events;
     const core::VictimRun ref = core::run_victim_tier(
         prog, ref_machine, seed, core::VictimTier::kReference, &ref_events);
-    const core::VictimRun pre = core::run_victim_tier(
-        prog, pre_machine, seed, core::VictimTier::kPredecode, &pre_events);
     const core::VictimRun blk = core::run_victim_tier(
         prog, blk_machine, seed, core::VictimTier::kBlock, &blk_events);
-    for (const core::VictimRun* run : {&pre, &blk}) {
-      if (run->noise != ref.noise || run->cycles != ref.cycles ||
-          run->instructions != ref.instructions)
-        return false;
-    }
-    for (const EventCollector* col : {&pre_events, &blk_events}) {
-      if (col->events.size() != ref_events.events.size()) return false;
-      for (std::size_t i = 0; i < col->events.size(); ++i) {
-        if (!events_equal(col->events[i], ref_events.events[i])) return false;
-      }
+    if (blk.noise != ref.noise || blk.cycles != ref.cycles ||
+        blk.instructions != ref.instructions ||
+        blk_events.events.size() != ref_events.events.size())
+      return false;
+    for (std::size_t i = 0; i < blk_events.events.size(); ++i) {
+      if (!events_equal(blk_events.events[i], ref_events.events[i])) return false;
     }
   }
   return true;
@@ -254,36 +245,30 @@ int run_json_harness(bool smoke) {
   std::uint64_t sink = 0;
   double fsink = 0.0;
 
-  // --- victim simulation: the full execution ladder -----------------------
-  // All three tiers are timed every run (block, predecode, reference), each
-  // on its own machine, so the regression gate tracks the whole ladder.
+  // --- victim simulation: the execution ladder ----------------------------
+  // Both tiers are timed every run (block, reference), each on its own
+  // machine, through the bare nullptr-observer route.
   const core::VictimProgram prog = core::build_sampler_firmware(64, {132120577ULL});
   const std::size_t victim_iters = smoke ? 20 : 300;
   riscv::Machine block_machine(prog.memory_bytes);
-  riscv::Machine pre_machine(prog.memory_bytes);
   riscv::Machine ref_machine(prog.memory_bytes);
   const auto victim_leg = [&](riscv::Machine& m, core::VictimTier tier) {
     return bench::leg(victim_iters, [&, tier](std::size_t i) {
       sink += core::run_victim_tier(prog, m, static_cast<std::uint32_t>(i + 1), tier).cycles;
     });
   };
-  const auto [victim_block, victim_pre, victim_ref] =
+  const auto [victim_block, victim_ref] =
       bench::time_legs(smoke, victim_leg(block_machine, core::VictimTier::kBlock),
-                       victim_leg(pre_machine, core::VictimTier::kPredecode),
                        victim_leg(ref_machine, core::VictimTier::kReference));
   const double victim_speedup = bench::speedup(victim_block, victim_ref);
-  const double victim_speedup_pre = bench::speedup(victim_block, victim_pre);
   const bool victim_identical = victim_identity_gate();
-  // Block tier vs the decode-per-step anchor, and vs the predecode tier it
-  // sits above: the gates of the translated execution tier.
+  // Block tier vs the decode-per-step anchor: the gate of the translated
+  // execution tier.
   gates.at_least("victim_speedup_min", victim_speedup, 10.0);
-  gates.at_least("victim_vs_predecode_speedup_min", victim_speedup_pre, 3.5);
   gates.require("victim_identical", victim_identical);
   json.object("victim_sim")
-      .timing("block_ns_per_run", victim_block).timing("predecode_ns_per_run", victim_pre)
-      .timing("reference_ns_per_run", victim_ref).num("speedup", victim_speedup, "%.2f")
-      .num("speedup_vs_predecode", victim_speedup_pre, "%.2f")
-      .flag("identical", victim_identical).end();
+      .timing("block_ns_per_run", victim_block).timing("reference_ns_per_run", victim_ref)
+      .num("speedup", victim_speedup, "%.2f").flag("identical", victim_identical).end();
 
   // --- template scoring: shared-work factorization vs per-class loops ----
   const std::size_t dim = 12;
@@ -398,35 +383,6 @@ int run_json_harness(bool smoke) {
   json.object("alignment_fft").count("length", align_len).count("max_shift", align_shift)
       .timing("fast_ns_per_align", align_fast).timing("baseline_ns_per_align", align_ref)
       .num("speedup", align_speedup, "%.2f").flag("identical", align_identical).end();
-
-  // --- LLL: flat incremental GSO vs full recompute per perturbation ------
-  const std::size_t lll_n = smoke ? 16 : 28;
-  const lattice::Basis lll_basis = bench::dbdd_shaped_basis(lll_n, 5);
-  const auto [lll_fast, lll_ref] = bench::time_legs(
-      smoke,
-      bench::leg(smoke ? 2 : 8,
-                 [&](std::size_t) {
-                   lattice::Basis b = lll_basis;
-                   sink += lattice::lll_reduce(b);
-                 }),
-      bench::leg(smoke ? 2 : 8, [&](std::size_t) {
-        lattice::Basis b = lll_basis;
-        sink += lattice::lll_reduce_reference(b);
-      }));
-  const double lll_speedup = bench::speedup(lll_fast, lll_ref);
-  bool lll_identical = true;
-  for (std::uint64_t seed = 5; seed <= 7; ++seed) {
-    lattice::Basis fast_b = bench::dbdd_shaped_basis(smoke ? 12 : 20, seed);
-    lattice::Basis ref_b = fast_b;
-    const std::size_t fast_swaps = lattice::lll_reduce(fast_b);
-    const std::size_t ref_swaps = lattice::lll_reduce_reference(ref_b);
-    if (fast_b != ref_b || fast_swaps != ref_swaps) lll_identical = false;
-  }
-  gates.at_least("lll_speedup_min", lll_speedup, 2.0);
-  gates.require("lll_identical", lll_identical);
-  json.object("lll_flat").count("dimension", lll_n).timing("fast_ns_per_reduce", lll_fast)
-      .timing("baseline_ns_per_reduce", lll_ref).num("speedup", lll_speedup, "%.2f")
-      .flag("identical", lll_identical).end();
 
   // --- observability overhead: instrumented vs null-tracer campaign ------
   // The same degradation-aware campaign runs with and without a

@@ -132,7 +132,6 @@ VictimRun run_victim(const VictimProgram& program, riscv::Machine& machine,
 /// dispatch cost differs.
 enum class VictimTier : std::uint8_t {
   kReference,  ///< decode-per-step (Machine::run_reference, the anchor)
-  kPredecode,  ///< predecoded-instruction cache, per-step dispatch
   kBlock,      ///< basic-block translation, threaded dispatch (default)
 };
 
@@ -142,15 +141,16 @@ enum class VictimTier : std::uint8_t {
 void configure_victim_tier(riscv::Machine& machine, VictimTier tier) noexcept;
 
 /// run_victim pinned to an execution tier: kReference runs the
-/// decode-per-step anchor loop, the other tiers run the corresponding cache
-/// configuration. Used by the bench tier ladder and the differential tests.
+/// decode-per-step anchor loop, kBlock the translated tier. Used by the
+/// bench tier ladder and the differential tests.
 VictimRun run_victim_tier(const VictimProgram& program, riscv::Machine& machine,
                           std::uint32_t seed, VictimTier tier,
                           riscv::ExecutionObserver* observer = nullptr);
 
-/// run_victim with a statically-bound observer: the capture hot path —
-/// Machine::run_with fuses the observer callback into the execute loop, so
-/// per-instruction virtual dispatch disappears. Byte-identical results.
+/// run_victim with a statically-bound observer: the capture path runs it
+/// with its trace recorder — Machine::run_with fuses the observer callback
+/// into the execute loop, so per-instruction virtual dispatch disappears.
+/// Byte-identical results.
 template <typename ObserverT>
 VictimRun run_victim_with(const VictimProgram& program, riscv::Machine& machine,
                           std::uint32_t seed, ObserverT& observer) {

@@ -37,12 +37,11 @@ bool is_zero_row(const std::vector<std::int64_t>& row) {
   return true;
 }
 
-/// LLL loop shared by the public lll_reduce, the dependency-removing
-/// variant used inside BKZ, and the GSO-maintaining BKZ fast path (which
-/// passes its long-lived FlatGso). Returns the number of swaps. If
+/// LLL loop shared by the public lll_reduce and the dependency-removing
+/// variant used inside BKZ. Returns the number of swaps. If
 /// `remove_dependencies` is set, rows that reduce to zero are erased.
-std::size_t lll_core(Basis& basis, double delta, bool remove_dependencies,
-                     FlatGso& gso) {
+std::size_t lll_core(Basis& basis, double delta, bool remove_dependencies) {
+  FlatGso gso(basis);
   std::size_t swaps = 0;
   std::size_t k = 1;
   while (k < basis.size()) {
@@ -83,67 +82,9 @@ std::size_t lll_core(Basis& basis, double delta, bool remove_dependencies,
   return swaps;
 }
 
-std::size_t lll_core(Basis& basis, double delta, bool remove_dependencies) {
-  FlatGso gso(basis);
-  return lll_core(basis, delta, remove_dependencies, gso);
-}
-
-/// The pre-optimization loop: full compute_gso after every perturbation.
-std::size_t lll_core_reference(Basis& basis, double delta, bool remove_dependencies) {
-  std::size_t swaps = 0;
-  Gso gso = compute_gso(basis);
-  std::size_t k = 1;
-  while (k < basis.size()) {
-    // Size-reduce b_k against b_{k-1} ... b_0, refreshing the GSO after
-    // every subtraction (reducing with b_j only perturbs mu[k][j'] for
-    // j' <= j, so one downward pass reaches a fixed point).
-    for (std::size_t j = k; j-- > 0;) {
-      const long double mu = gso.mu[k][j];
-      if (fabsl(mu) > 0.5L) {
-        axpy(basis[k], static_cast<std::int64_t>(llroundl(mu)), basis[j]);
-        gso = compute_gso(basis);
-      }
-    }
-
-    if (remove_dependencies && is_zero_row(basis[k])) {
-      basis.erase(basis.begin() + static_cast<std::ptrdiff_t>(k));
-      gso = compute_gso(basis);
-      k = std::max<std::size_t>(k, 1);
-      if (k >= basis.size()) break;
-      continue;
-    }
-
-    const long double lhs = gso.norms_sq[k];
-    const long double rhs =
-        (static_cast<long double>(delta) - gso.mu[k][k - 1] * gso.mu[k][k - 1]) *
-        gso.norms_sq[k - 1];
-    if (lhs >= rhs) {
-      ++k;
-    } else {
-      std::swap(basis[k], basis[k - 1]);
-      gso = compute_gso(basis);
-      ++swaps;
-      k = k > 1 ? k - 1 : 1;
-    }
-  }
-  return swaps;
-}
-
-/// Uniform GSO accessors so the enumeration core runs unchanged — with
-/// identical long double arithmetic — over Gso and FlatGso.
-inline long double gso_norm_sq(const Gso& g, std::size_t i) { return g.norms_sq[i]; }
-inline long double gso_norm_sq(const FlatGso& g, std::size_t i) { return g.norms_sq(i); }
-inline long double gso_mu(const Gso& g, std::size_t i, std::size_t j) {
-  return g.mu[i][j];
-}
-inline long double gso_mu(const FlatGso& g, std::size_t i, std::size_t j) {
-  return g.mu(i, j);
-}
-
 /// Recursive Fincke-Pohst / Schnorr-Euchner style search.
-template <typename GsoT>
 struct EnumState {
-  const GsoT* gso;
+  const Gso* gso;
   std::size_t begin;
   std::size_t dim;
   std::vector<std::int64_t> x;
@@ -152,8 +93,7 @@ struct EnumState {
   bool found;
 };
 
-template <typename GsoT>
-void enum_dfs(EnumState<GsoT>& st, std::size_t level_plus1, long double rho) {
+void enum_dfs(EnumState& st, std::size_t level_plus1, long double rho) {
   if (level_plus1 == 0) {
     if (rho >= st.best_norm) return;
     bool nonzero = false;
@@ -171,12 +111,12 @@ void enum_dfs(EnumState<GsoT>& st, std::size_t level_plus1, long double rho) {
     return;
   }
   const std::size_t i = level_plus1 - 1;
-  const long double bi = gso_norm_sq(*st.gso, st.begin + i);
+  const long double bi = st.gso->norms_sq[st.begin + i];
   if (bi <= 0.0L) return;  // degenerate direction: nothing to gain
   // Projection center from already-fixed higher coordinates.
   long double c = 0.0L;
   for (std::size_t j = i + 1; j < st.dim; ++j) {
-    c -= static_cast<long double>(st.x[j]) * gso_mu(*st.gso, st.begin + j, st.begin + i);
+    c -= static_cast<long double>(st.x[j]) * st.gso->mu[st.begin + j][st.begin + i];
   }
   // Admissible interval from the current bound (a superset once best_norm
   // shrinks during recursion; the per-candidate check below stays exact).
@@ -191,34 +131,6 @@ void enum_dfs(EnumState<GsoT>& st, std::size_t level_plus1, long double rho) {
     enum_dfs(st, i, rho + contrib);
   }
   st.x[i] = 0;
-}
-
-template <typename GsoT>
-EnumResult enumerate_shortest_impl(const GsoT& gso, std::size_t begin,
-                                   std::size_t end, long double radius_sq) {
-  EnumResult result;
-  if (begin >= end)
-    throw std::invalid_argument("enumerate_shortest: bad block bounds");
-  const std::size_t dim = end - begin;
-  if (radius_sq <= 0.0L) radius_sq = gso_norm_sq(gso, begin) * (1.0L - 1e-12L);
-  if (radius_sq <= 0.0L) return result;
-
-  EnumState<GsoT> st;
-  st.gso = &gso;
-  st.begin = begin;
-  st.dim = dim;
-  st.x.assign(dim, 0);
-  st.best.assign(dim, 0);
-  st.best_norm = radius_sq;
-  st.found = false;
-  enum_dfs(st, dim, 0.0L);
-
-  if (st.found) {
-    result.found = true;
-    result.coefficients = std::move(st.best);
-    result.norm_sq = st.best_norm;
-  }
-  return result;
 }
 
 }  // namespace
@@ -259,25 +171,13 @@ Gso compute_gso(const Basis& basis) {
 }
 
 FlatGso::FlatGso(const Basis& basis)
-    : FlatGso(basis.size(), basis.front().size()) {}
-
-FlatGso::FlatGso(std::size_t rows_capacity, std::size_t cols)
-    : rows_(rows_capacity), cols_(cols) {
+    : rows_(basis.size()), cols_(basis.front().size()) {
   star_.assign(rows_ * cols_, 0.0L);
   mu_.assign(rows_ * rows_, 0.0L);
   norms_sq_.assign(rows_, 0.0L);
 }
 
 void FlatGso::ensure(std::size_t i, const Basis& basis) {
-  if (basis.size() > rows_) {
-    // Defensive growth (BKZ pre-sizes capacity, so this is cold): restride
-    // the buffers and recompute from scratch.
-    rows_ = basis.size();
-    star_.assign(rows_ * cols_, 0.0L);
-    mu_.assign(rows_ * rows_, 0.0L);
-    norms_sq_.assign(rows_, 0.0L);
-    valid_ = 0;
-  }
   while (valid_ <= i) {
     const std::size_t r = valid_;
     long double* star_r = star_.data() + r * cols_;
@@ -314,14 +214,6 @@ std::size_t lll_reduce(Basis& basis, const LllParams& params) {
   return lll_core(basis, params.delta, /*remove_dependencies=*/false);
 }
 
-std::size_t lll_reduce_reference(Basis& basis, const LllParams& params) {
-  check_rectangular(basis);
-  if (!(params.delta > 0.25 && params.delta <= 1.0))
-    throw std::invalid_argument("lll_reduce: delta must be in (1/4, 1]");
-  if (basis.size() < 2) return 0;
-  return lll_core_reference(basis, params.delta, /*remove_dependencies=*/false);
-}
-
 bool is_lll_reduced(const Basis& basis, double delta, double tolerance) {
   const Gso gso = compute_gso(basis);
   const std::size_t n = basis.size();
@@ -343,57 +235,36 @@ bool is_lll_reduced(const Basis& basis, double delta, double tolerance) {
 
 EnumResult enumerate_shortest(const Gso& gso, std::size_t begin, std::size_t end,
                               long double radius_sq) {
-  if (end > gso.norms_sq.size())
+  EnumResult result;
+  if (begin >= end || end > gso.norms_sq.size())
     throw std::invalid_argument("enumerate_shortest: bad block bounds");
-  return enumerate_shortest_impl(gso, begin, end, radius_sq);
-}
+  const std::size_t dim = end - begin;
+  if (radius_sq <= 0.0L) radius_sq = gso.norms_sq[begin] * (1.0L - 1e-12L);
+  if (radius_sq <= 0.0L) return result;
 
-EnumResult enumerate_shortest(const FlatGso& gso, std::size_t begin, std::size_t end,
-                              long double radius_sq) {
-  return enumerate_shortest_impl(gso, begin, end, radius_sq);
+  EnumState st;
+  st.gso = &gso;
+  st.begin = begin;
+  st.dim = dim;
+  st.x.assign(dim, 0);
+  st.best.assign(dim, 0);
+  st.best_norm = radius_sq;
+  st.found = false;
+  enum_dfs(st, dim, 0.0L);
+
+  if (st.found) {
+    result.found = true;
+    result.coefficients = std::move(st.best);
+    result.norm_sq = st.best_norm;
+  }
+  return result;
 }
 
 std::size_t bkz_reduce(Basis& basis, const BkzParams& params) {
   check_rectangular(basis);
   if (params.block_size < 2) throw std::invalid_argument("bkz_reduce: block size < 2");
   if (!(params.delta > 0.25 && params.delta <= 1.0))
-    throw std::invalid_argument("lll_reduce: delta must be in (1/4, 1]");
-  // One GSO for the whole reduction: block positions whose prefix did not
-  // change since the last visit re-read valid rows for free, and an
-  // insertion at k recomputes rows >= k only. Capacity +1 covers the
-  // transient row that insertion adds before dependency removal drops one.
-  FlatGso gso(basis.size() + 1, basis.front().size());
-  if (basis.size() >= 2) lll_core(basis, params.delta, /*remove_dependencies=*/false, gso);
-  std::size_t insertions = 0;
-
-  for (std::size_t tour = 0; tour < params.max_tours; ++tour) {
-    bool changed = false;
-    for (std::size_t k = 0; k + 1 < basis.size(); ++k) {
-      const std::size_t end = std::min(k + params.block_size, basis.size());
-      gso.ensure(end - 1, basis);
-      const EnumResult best = enumerate_shortest(gso, k, end);
-      if (!best.found) continue;
-      if (best.norm_sq >= gso.norms_sq(k) * (1.0L - 1e-9L)) continue;
-      // Form v = sum_j c_j b_{k+j}, insert before position k, and let LLL
-      // with dependency removal restore a proper basis.
-      std::vector<std::int64_t> new_row(basis.front().size(), 0);
-      for (std::size_t j = 0; j < best.coefficients.size(); ++j) {
-        axpy(new_row, -best.coefficients[j], basis[k + j]);
-      }
-      basis.insert(basis.begin() + static_cast<std::ptrdiff_t>(k), std::move(new_row));
-      gso.invalidate_from(k);
-      lll_core(basis, params.delta, /*remove_dependencies=*/true, gso);
-      ++insertions;
-      changed = true;
-    }
-    if (!changed) break;
-  }
-  return insertions;
-}
-
-std::size_t bkz_reduce_reference(Basis& basis, const BkzParams& params) {
-  check_rectangular(basis);
-  if (params.block_size < 2) throw std::invalid_argument("bkz_reduce: block size < 2");
+    throw std::invalid_argument("bkz_reduce: delta must be in (1/4, 1]");
   lll_reduce(basis, {params.delta});
   std::size_t insertions = 0;
 
@@ -405,6 +276,8 @@ std::size_t bkz_reduce_reference(Basis& basis, const BkzParams& params) {
       const EnumResult best = enumerate_shortest(gso, k, end);
       if (!best.found) continue;
       if (best.norm_sq >= gso.norms_sq[k] * (1.0L - 1e-9L)) continue;
+      // Form v = sum_j c_j b_{k+j}, insert before position k, and let LLL
+      // with dependency removal restore a proper basis.
       std::vector<std::int64_t> new_row(basis.front().size(), 0);
       for (std::size_t j = 0; j < best.coefficients.size(); ++j) {
         axpy(new_row, -best.coefficients[j], basis[k + j]);

@@ -32,20 +32,13 @@ struct Gso {
 /// row loop. A perturbation of basis row k invalidates the GSO from row k
 /// on; rows past the high-water mark are recomputed on arrival. Reads
 /// therefore always observe the same long double values a full compute_gso
-/// of the current basis would produce — which is what makes lll_reduce and
-/// bkz_reduce byte-identical to their reference loops — while a
-/// size-reduction subtraction costs one O(k*d) row refresh instead of a
-/// full O(n^2*d) recompute, and an untouched block position costs nothing.
-///
-/// BKZ maintains ONE FlatGso across block positions and tours (PR 4 only
-/// kept it alive inside a single LLL call): construct with capacity
-/// basis.size() + 1 so the insert-then-remove-dependencies cycle fits
-/// without reallocation.
+/// of the current basis would produce — which is what keeps lll_reduce's
+/// decisions identical to the full-recompute loop — while a size-reduction
+/// subtraction costs one O(k*d) row refresh instead of a full O(n^2*d)
+/// recompute.
 class FlatGso {
  public:
   explicit FlatGso(const Basis& basis);
-  /// Capacity form: room for `rows_capacity` basis rows of `cols` columns.
-  FlatGso(std::size_t rows_capacity, std::size_t cols);
 
   [[nodiscard]] long double mu(std::size_t i, std::size_t j) const noexcept {
     return mu_[i * rows_ + j];
@@ -55,19 +48,17 @@ class FlatGso {
   }
 
   /// Marks GSO rows >= row as stale (basis row `row` was just modified,
-  /// inserted, swapped, or erased).
+  /// swapped, or erased).
   void invalidate_from(std::size_t row) noexcept {
     valid_ = valid_ < row ? valid_ : row;
   }
 
-  /// Recomputes stale rows up to and including `i` from the current basis.
-  /// `basis.size()` may differ from the constructed capacity (BKZ inserts
-  /// a row, dependency removal erases one); the flat buffers keep their
-  /// stride and grow only if the basis outgrows them.
+  /// Recomputes stale rows up to and including `i` from the current basis,
+  /// which may have lost rows since construction but never gained any.
   void ensure(std::size_t i, const Basis& basis);
 
  private:
-  std::size_t rows_;  ///< buffer stride (the constructed row capacity)
+  std::size_t rows_;  ///< buffer stride (the constructed row count)
   std::size_t cols_;
   std::size_t valid_ = 0;  ///< rows [0, valid_) agree with the current basis
   std::vector<long double> star_;
@@ -84,19 +75,11 @@ struct LllParams {
 
 /// In-place LLL reduction; returns the number of swaps performed.
 ///
-/// Runs the flat-storage kernel: GSO rows live in row-major long double
-/// buffers with a validity high-water mark, and a perturbation of basis row
-/// k (size-reduction subtraction, swap, erase) invalidates only rows >= k —
-/// invalid rows are recomputed on arrival. Every GSO row is a pure function
-/// of the basis prefix computed with the same arithmetic as compute_gso, so
-/// the reduced basis and swap count are byte-identical to
-/// lll_reduce_reference for every input.
+/// Runs the flat-storage kernel: GSO rows live in a FlatGso, and a
+/// perturbation of basis row k (size-reduction subtraction, swap, erase)
+/// invalidates only rows >= k. The reduced basis and swap count are
+/// byte-identical to the full-recompute loop kept in tests/support.
 std::size_t lll_reduce(Basis& basis, const LllParams& params = {});
-
-/// The pre-optimization LLL loop that recomputes the full GSO from scratch
-/// after every perturbation. Kept as the differential anchor for
-/// lll_reduce's flat incremental kernel.
-std::size_t lll_reduce_reference(Basis& basis, const LllParams& params = {});
 
 /// True if `basis` is (delta-)LLL-reduced (size-reduced + Lovász).
 [[nodiscard]] bool is_lll_reduced(const Basis& basis, double delta = 0.99,
@@ -115,12 +98,6 @@ struct EnumResult {
 [[nodiscard]] EnumResult enumerate_shortest(const Gso& gso, std::size_t begin,
                                             std::size_t end, long double radius_sq = 0.0);
 
-/// Same search over a maintained FlatGso (rows [0, end) must be ensured).
-/// Identical long double arithmetic, so the result is byte-identical to
-/// the Gso overload on equal GSO values.
-[[nodiscard]] EnumResult enumerate_shortest(const FlatGso& gso, std::size_t begin,
-                                            std::size_t end, long double radius_sq = 0.0);
-
 struct BkzParams {
   std::size_t block_size = 20;
   std::size_t max_tours = 16;
@@ -129,17 +106,10 @@ struct BkzParams {
 
 /// In-place BKZ reduction; returns the number of block insertions.
 ///
-/// Maintains a single FlatGso across block positions and tours: an
-/// insertion at position k invalidates rows >= k only, and converged tours
-/// re-read valid rows without recomputing anything — against the
-/// reference's full compute_gso per position. Every GSO value read equals
-/// the reference's, so basis and insertion count are byte-identical to
-/// bkz_reduce_reference (fuzzed + gated in bench_lattice).
+/// LLL first, then tours of block positions: at each position the GSO is
+/// recomputed, the projected block is enumerated, and a shorter vector is
+/// inserted and cleaned up by a dependency-removing LLL pass.
 std::size_t bkz_reduce(Basis& basis, const BkzParams& params);
-
-/// The pre-optimization BKZ loop (full GSO recompute at every block
-/// position, per-call LLL GSO state). Differential anchor for bkz_reduce.
-std::size_t bkz_reduce_reference(Basis& basis, const BkzParams& params);
 
 /// Shortest basis row after reduction (by Euclidean norm).
 [[nodiscard]] std::vector<std::int64_t> shortest_row(const Basis& basis);

@@ -64,29 +64,6 @@ void RunningCovariance::add(const std::vector<double>& x) {
   }
 }
 
-void RunningCovariance::merge(const RunningCovariance& other) {
-  if (other.dim() != dim())
-    throw std::invalid_argument("RunningCovariance::merge: dimension mismatch");
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto na = static_cast<double>(count_);
-  const auto nb = static_cast<double>(other.count_);
-  const double total = na + nb;
-  // delta = mean_b - mean_a; scatter += scatter_b + (na*nb/total) delta delta^T
-  for (std::size_t i = 0; i < mean_.size(); ++i) delta_[i] = other.mean_[i] - mean_[i];
-  const double weight = na * nb / total;
-  for (std::size_t i = 0; i < mean_.size(); ++i) {
-    for (std::size_t j = 0; j < mean_.size(); ++j) {
-      scatter_(i, j) += other.scatter_(i, j) + weight * delta_[i] * delta_[j];
-    }
-  }
-  for (std::size_t i = 0; i < mean_.size(); ++i) mean_[i] += delta_[i] * nb / total;
-  count_ += other.count_;
-}
-
 Matrix RunningCovariance::covariance() const {
   Matrix cov = scatter_;
   if (count_ >= 2) cov *= 1.0 / static_cast<double>(count_ - 1);

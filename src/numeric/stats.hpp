@@ -77,13 +77,6 @@ class RunningCovariance {
   /// Sum of outer products of deviations (useful for pooled covariance).
   [[nodiscard]] const Matrix& scatter() const noexcept { return scatter_; }
 
-  /// Merges another accumulator into this one (pairwise/Chan update of mean
-  /// and scatter). Statistically exact, but *not* bit-identical to streaming
-  /// the same samples through add() — floating-point addition is not
-  /// associative — so merge() suits throughput-oriented reductions while the
-  /// byte-identical campaign paths replay add() in index order instead.
-  void merge(const RunningCovariance& other);
-
  private:
   std::size_t count_ = 0;
   std::vector<double> mean_;

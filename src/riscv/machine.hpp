@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "riscv/block_translator.hpp"
@@ -120,7 +119,7 @@ class Machine {
   StopReason run_with(std::uint64_t max_instructions, ObserverT& observer) {
     halted_ = false;
     trapped_ = false;
-    if (predecode_ && block_tier_ && !icache_.empty()) {
+    if (predecode_ && !icache_.empty()) {
       return run_translated(max_instructions, observer);
     }
     for (std::uint64_t i = 0; i < max_instructions; ++i) {
@@ -138,19 +137,13 @@ class Machine {
   StopReason run_reference(std::uint64_t max_instructions,
                            ExecutionObserver* observer = nullptr);
 
-  /// Enables/disables the predecoded-instruction fast path (default on).
-  /// Disabling decodes every fetched word from memory again, like the
-  /// reference loop; re-enabling rebuilds the cache from current memory.
+  /// Enables/disables the predecoded-instruction cache and the block tier
+  /// above it (default on). Disabling decodes every fetched word from
+  /// memory again, like the reference loop; re-enabling rebuilds the cache
+  /// from current memory. Translated blocks are kept across toggles — store
+  /// invalidation runs regardless of mode, so they can never go stale.
   void set_predecode(bool enabled);
   [[nodiscard]] bool predecode_enabled() const noexcept { return predecode_; }
-
-  /// Enables/disables the basic-block translation tier (default on). The
-  /// block tier sits above the predecode cache and is only active while
-  /// predecoding is enabled; disabling it falls back to the per-step
-  /// predecode dispatch. Translated blocks are kept across toggles — store
-  /// invalidation runs regardless of mode, so they can never go stale.
-  void set_block_tier(bool enabled) noexcept { block_tier_ = enabled; }
-  [[nodiscard]] bool block_tier_enabled() const noexcept { return block_tier_; }
 
   /// Live translated blocks (observability/tests).
   [[nodiscard]] std::size_t translated_block_count() const noexcept {
@@ -233,7 +226,6 @@ class Machine {
   std::uint32_t icache_end_ = 0;   ///< one past the cached byte range
   bool predecode_ = true;
   BlockCache block_cache_;
-  bool block_tier_ = true;
 };
 
 namespace detail {
@@ -1078,8 +1070,8 @@ reveal_dispatch:
   // (block_translator.cpp xorshift_mask_canonical). One dispatch retires
   // the sampler's entire hot block with the value chain held in locals —
   // regs_ is only *stored* (write-through retirement) and read for event
-  // operand values, so the null-observer fast leg reduces to the pure ALU
-  // chain plus ten stores.
+  // operand values, so under a null observer the handler reduces to the
+  // ALU chain plus the final register stores.
   REVEAL_FUOP(kFuseXorshiftMask) : {
     const BlockInstr* q1 = p + 1;
     const BlockInstr* q2 = p + 2;
@@ -1090,121 +1082,6 @@ reveal_dispatch:
     const BlockInstr* q7 = p + 7;
     const BlockInstr* q8 = p + 8;
     const BlockInstr* q9 = p + 9;
-    if constexpr (std::is_same_v<ObserverT, NullExecutionObserver>) {
-      // Observer-free leg: per-op events are unobservable, so the whole
-      // rejection loop runs on locals. Every pool field is loop-invariant
-      // (the run contains no store, so nothing can invalidate or rewrite
-      // the block mid-run) and is hoisted explicitly — the write-through
-      // leg below cannot hoist them because regs_ stores may alias the
-      // pool under type-based aliasing. Architectural state (the four
-      // written registers, counters, budget) is committed identically to
-      // the generic leg: regs_ once at exit in last-write program order,
-      // cyc/ret/remaining per iteration.
-      const std::uint32_t sh_a = static_cast<std::uint32_t>(p->imm) & 31u;
-      const std::uint32_t sh_b = static_cast<std::uint32_t>(q2->imm) & 31u;
-      const std::uint32_t sh_c = static_cast<std::uint32_t>(q4->imm) & 31u;
-      const std::uint32_t mask =
-          static_cast<std::uint32_t>(q6->imm) + static_cast<std::uint32_t>(q7->imm);
-      const std::uint64_t prefix = p->cycles_taken;  // pre-summed run cost
-      const std::uint64_t cyc_taken = q9->cycles_taken;
-      const std::uint64_t cyc_not = q9->cycles_not_taken;
-      const bool self_loop = q9->pc + static_cast<std::uint32_t>(q9->imm) == p->pc;
-      const std::uint8_t rT = p->rd, rS = q1->rd, rM = q6->rd, rX = q8->rd;
-      const std::uint32_t bound = regs_[q9->rs2];  // canonical: never written
-      std::uint32_t s = regs_[p->rs1];
-      std::uint32_t t_fin;
-      std::uint32_t x_fin;
-      // Accept-path continuation: when the fall-through block is exactly an
-      // already-translated accumulate-and-loop idiom (acc += x; i += step;
-      // bne i, bound) whose registers are disjoint from everything this run
-      // defers or reads, the accept path also stays inside this handler —
-      // the full sampling loop (reject, accept, accumulate, loop) then runs
-      // on locals. The lookup goes through the live entry table, so a stale
-      // translation can never be entered, and no store can invalidate either
-      // block while the loop runs (neither contains one). Budget charges
-      // mirror the chain's: 10 per rejection pass, 3 per accumulate pass.
-      const std::uint32_t fall_pc = q9->pc + 4;
-      const BlockInstr* qb = nullptr;
-      if (self_loop && fall_pc >= ibase && fall_pc < iend) {
-        const std::uint64_t eb = entry[(fall_pc - ibase) >> 2];
-        if (eb != BlockCache::kNoBlock && BlockCache::packed_count(eb) == 3) {
-          const BlockInstr* f = pool + BlockCache::packed_first(eb);
-          const std::uint8_t ra = f[0].rd, ri = f[1].rd, rb = f[2].rs2;
-          if (f[0].h == kFuseAccBne && f[0].rs1 == ra && f[0].rs2 == rX &&
-              ra != rT && ra != rS && ra != rM && ra != rX &&
-              ri != rT && ri != rS && ri != rM && ri != rX &&
-              rb != rT && rb != rS && rb != rM && rb != rX &&
-              ra != q9->rs2 && ri != q9->rs2) {
-            qb = f;
-          }
-        }
-      }
-      std::uint32_t acc = 0;
-      std::uint32_t ctr = 0;
-      std::uint32_t b_bound = 0;
-      if (qb != nullptr) {
-        acc = regs_[qb[0].rd];
-        ctr = regs_[qb[1].rd];
-        b_bound = regs_[qb[2].rs2];
-      }
-      for (;;) {
-        const std::uint32_t v0 = s << sh_a;
-        const std::uint32_t v1 = s ^ v0;
-        const std::uint32_t v2 = v1 >> sh_b;
-        const std::uint32_t v3 = v1 ^ v2;
-        t_fin = v3 << sh_c;
-        s = v3 ^ t_fin;
-        x_fin = s & mask;
-        cyc += prefix;
-        ret += 10;
-        const bool taken = x_fin >= bound;
-        cyc += taken ? cyc_taken : cyc_not;
-        if (taken) {
-          vpc = q9->pc + static_cast<std::uint32_t>(q9->imm);
-          // Rejection back-edge shortcut, as in the generic leg: re-enter in
-          // place with the chain's exact budget charge for the 10 micro-ops.
-          if (self_loop && remaining >= 10) {
-            remaining -= 10;
-            block_budget = 10;
-            ret_entry = ret;
-            continue;
-          }
-          break;
-        }
-        vpc = fall_pc;
-        if (qb == nullptr || remaining < 3) break;
-        remaining -= 3;
-        block_budget = 3;
-        ret_entry = ret;
-        acc += x_fin;
-        ctr += static_cast<std::uint32_t>(qb[1].imm);
-        cyc += qb[0].cycles_taken;  // pre-summed add+addi cost
-        ret += 3;
-        const bool b_taken = ctr != b_bound;
-        cyc += b_taken ? qb[2].cycles_taken : qb[2].cycles_not_taken;
-        if (!b_taken) {
-          vpc = qb[2].pc + 4;
-          break;
-        }
-        vpc = qb[2].pc + static_cast<std::uint32_t>(qb[2].imm);
-        if (vpc == p->pc && remaining >= 10) {
-          remaining -= 10;
-          block_budget = 10;
-          ret_entry = ret;
-          continue;
-        }
-        break;
-      }
-      regs_[p->rd] = t_fin;   // rT = v4, then rS, rM, rX in last-write order
-      regs_[q1->rd] = s;      // rS = v5
-      regs_[q6->rd] = mask;   // rM = v7
-      regs_[q8->rd] = x_fin;  // rX = v8
-      if (qb != nullptr) {    // disjoint from the four above (checked)
-        regs_[qb[0].rd] = acc;
-        regs_[qb[1].rd] = ctr;
-      }
-      goto reveal_chain;
-    } else {
   u_kFuseXorshiftMask_body:
     REVEAL_BEGIN();
     cyc += p->cycles_taken;  // pre-summed straight-line prefix cost
@@ -1215,7 +1092,7 @@ reveal_dispatch:
     // mask and result registers resolves exactly). Mid-run event operand
     // values for the raw index fields (shift amounts, lui immediate bits)
     // are reconstructed with explicit selects against the written-so-far
-    // set — observer-only code, dead in the timed null-observer leg.
+    // set — observer-only code, dead under a null observer.
     const std::uint8_t rT = p->rd, rS = q1->rd, rM = q6->rd;
     const std::uint32_t v0 = s0 << (p->imm & 31);
     REVEAL_FUSE_RETX(p, regs_[rT], v0);
@@ -1293,7 +1170,6 @@ reveal_dispatch:
     }
     vpc = q9->pc + 4;
     goto reveal_chain;
-    }
   }
 
   // Accumulate-and-loop back edge: acc += x; i += step; bne i, bound —

@@ -153,16 +153,6 @@ void TemplateBuilder::add(std::int32_t label, const std::vector<double>& observa
   ++total_;
 }
 
-void TemplateBuilder::merge(const TemplateBuilder& other) {
-  if (other.dim_ != dim_)
-    throw std::invalid_argument("TemplateBuilder::merge: dimension mismatch");
-  for (const auto& [label, cov] : other.per_class_) {
-    auto [it, inserted] = per_class_.try_emplace(label, dim_);
-    it->second.merge(cov);
-  }
-  total_ += other.total_;
-}
-
 TemplateSet TemplateBuilder::build(double ridge) const {
   if (per_class_.size() < 2)
     throw std::runtime_error("TemplateBuilder::build: need at least 2 classes");

@@ -103,13 +103,6 @@ class TemplateBuilder {
 
   [[nodiscard]] std::size_t total_count() const noexcept { return total_; }
 
-  /// Merges another builder's per-class accumulators into this one (Chan
-  /// covariance merge per class). Exact up to floating-point rounding but
-  /// not bit-identical to a single streaming pass, so the byte-identical
-  /// campaign path replays add() in window order instead; merge() is for
-  /// throughput-oriented profiling reductions where last-ulp drift is fine.
-  void merge(const TemplateBuilder& other);
-
   /// Builds the template set; `ridge` is added to the pooled covariance
   /// diagonal. Throws std::runtime_error if any class has < 2 observations.
   [[nodiscard]] TemplateSet build(double ridge = 1e-6) const;

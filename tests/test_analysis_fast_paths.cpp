@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "analysis_reference.hpp"
+#include "lattice_reference.hpp"
 #include "core/acquisition.hpp"
 #include "lattice/lattice.hpp"
 #include "numeric/fft.hpp"

@@ -6,12 +6,13 @@
 //     decode-per-step virtually-dispatched loop (Machine::run_reference),
 //     fuzzed over randomized RV32IM programs including self-modifying
 //     stores into the code region;
-//   * the block-translated execution tier (DESIGN.md §6f) vs both lower
-//     tiers: random and sampler-shaped programs, stores that split or
-//     invalidate translated blocks (including from inside the executing
-//     block), branches into block middles, invalid encodings at block
-//     tails, instruction limits expiring mid-block, and tier toggling
-//     after load_program;
+//   * the block-translated execution tier (DESIGN.md §6f) vs the
+//     decode-per-step loops, with a recording observer and through the
+//     nullptr-observer route: random and sampler-shaped programs, stores
+//     that split or invalidate translated blocks (including from inside
+//     the executing block), branches into block middles, invalid encodings
+//     at block tails, instruction limits expiring mid-block, and predecode
+//     toggling after load_program;
 //   * shared-work template scoring (one Sigma^{-1} x matvec per
 //     observation) vs an in-test mirror of the documented kernel loop
 //     order (exact double equality) and vs the pre-factorization
@@ -218,14 +219,22 @@ Outcome finish(riscv::Machine& m, riscv::Machine::StopReason reason, Collector&&
   return out;
 }
 
-/// Fast path: predecode on, statically-bound observer (run_with).
-Outcome run_fast(const std::vector<std::uint32_t>& words) {
+/// Runs `words` through run_with with predecoding (and so the block tier)
+/// on or off, under an explicit instruction limit.
+Outcome run_tiered(const std::vector<std::uint32_t>& words, bool predecode,
+                   std::uint64_t limit = kInstrLimit) {
   riscv::Machine m(kMemBytes);
+  m.set_predecode(predecode);
   m.reset();
   m.load_program(words, 0);
   Collector col;
-  const auto reason = m.run_with(kInstrLimit, col);
+  const auto reason = m.run_with(limit, col);
   return finish(m, reason, std::move(col));
+}
+
+Outcome run_block(const std::vector<std::uint32_t>& words,
+                  std::uint64_t limit = kInstrLimit) {
+  return run_tiered(words, /*predecode=*/true, limit);
 }
 
 /// Virtual-dispatch route of the public API (run with an observer pointer).
@@ -239,13 +248,14 @@ Outcome run_virtual(const std::vector<std::uint32_t>& words) {
 }
 
 /// Reference: predecode disabled, decode-per-step loop.
-Outcome run_ref(const std::vector<std::uint32_t>& words) {
+Outcome run_reference_limit(const std::vector<std::uint32_t>& words,
+                            std::uint64_t limit = kInstrLimit) {
   riscv::Machine m(kMemBytes);
   m.set_predecode(false);
   m.reset();
   m.load_program(words, 0);
   Collector col;
-  const auto reason = m.run_reference(kInstrLimit, &col);
+  const auto reason = m.run_reference(limit, &col);
   return finish(m, reason, std::move(col));
 }
 
@@ -288,7 +298,7 @@ TEST(PredecodeFuzz, RandomProgramsMatchReferenceExecution) {
   for (int trial = 0; trial < 40; ++trial) {
     SCOPED_TRACE("trial " + std::to_string(trial));
     const auto words = random_program(rng, /*self_modify=*/false);
-    expect_outcomes_equal(run_fast(words), run_ref(words));
+    expect_outcomes_equal(run_block(words), run_reference_limit(words));
     if (::testing::Test::HasFailure()) break;
   }
 }
@@ -298,7 +308,7 @@ TEST(PredecodeFuzz, SelfModifyingProgramsMatchReferenceExecution) {
   for (int trial = 0; trial < 25; ++trial) {
     SCOPED_TRACE("trial " + std::to_string(trial));
     const auto words = random_program(rng, /*self_modify=*/true);
-    expect_outcomes_equal(run_fast(words), run_ref(words));
+    expect_outcomes_equal(run_block(words), run_reference_limit(words));
     if (::testing::Test::HasFailure()) break;
   }
 }
@@ -308,7 +318,7 @@ TEST(PredecodeFuzz, VirtualDispatchRouteMatchesFusedRoute) {
   for (int trial = 0; trial < 10; ++trial) {
     SCOPED_TRACE("trial " + std::to_string(trial));
     const auto words = random_program(rng, trial % 2 == 1);
-    expect_outcomes_equal(run_virtual(words), run_ref(words));
+    expect_outcomes_equal(run_virtual(words), run_reference_limit(words));
     if (::testing::Test::HasFailure()) break;
   }
 }
@@ -327,8 +337,8 @@ TEST(Predecode, StoreIntoCodeRegionInvalidatesCachedInstruction) {
   as.ebreak();
   const auto words = as.assemble();
 
-  const Outcome fast = run_fast(words);
-  const Outcome ref = run_ref(words);
+  const Outcome fast = run_block(words);
+  const Outcome ref = run_reference_limit(words);
   EXPECT_EQ(fast.regs[7], 2u);  // the patched instruction executed
   expect_outcomes_equal(fast, ref);
 }
@@ -337,56 +347,21 @@ TEST(Predecode, StoreIntoCodeRegionInvalidatesCachedInstruction) {
 // Block-translated execution tier (DESIGN.md §6f)
 // --------------------------------------------------------------------------
 
-/// Runs `words` with an explicit tier configuration and instruction limit.
-Outcome run_tiered(const std::vector<std::uint32_t>& words, bool predecode, bool block,
-                   std::uint64_t limit = kInstrLimit) {
+/// State-only run through the public nullptr-observer route on the block
+/// tier: run() binds a NullExecutionObserver, so every handler runs with
+/// its event construction compiled out. Bare victim runs (the benches'
+/// ground truth) take this route; captures run the recorder observer.
+Outcome run_null_observer(const std::vector<std::uint32_t>& words,
+                          std::uint64_t limit = kInstrLimit) {
   riscv::Machine m(kMemBytes);
-  m.set_predecode(predecode);
-  m.set_block_tier(block);
-  m.reset();
-  m.load_program(words, 0);
-  Collector col;
-  const auto reason = m.run_with(limit, col);
-  return finish(m, reason, std::move(col));
-}
-
-Outcome run_block(const std::vector<std::uint32_t>& words,
-                  std::uint64_t limit = kInstrLimit) {
-  return run_tiered(words, /*predecode=*/true, /*block=*/true, limit);
-}
-
-Outcome run_predecode_only(const std::vector<std::uint32_t>& words,
-                           std::uint64_t limit = kInstrLimit) {
-  return run_tiered(words, /*predecode=*/true, /*block=*/false, limit);
-}
-
-Outcome run_reference_limit(const std::vector<std::uint32_t>& words,
-                            std::uint64_t limit = kInstrLimit) {
-  riscv::Machine m(kMemBytes);
-  m.set_predecode(false);
-  m.reset();
-  m.load_program(words, 0);
-  Collector col;
-  const auto reason = m.run_reference(limit, &col);
-  return finish(m, reason, std::move(col));
-}
-
-/// State-only run through the public nullptr-observer route: this is the
-/// capture hot path, where the block tier's NullExecutionObserver lean legs
-/// (hoisted registers, inlined accept path) are statically selected.
-Outcome run_lean(const std::vector<std::uint32_t>& words, bool predecode, bool block,
-                 std::uint64_t limit = kInstrLimit) {
-  riscv::Machine m(kMemBytes);
-  m.set_predecode(predecode);
-  m.set_block_tier(block);
   m.reset();
   m.load_program(words, 0);
   const auto reason = m.run(limit, nullptr);
   return finish(m, reason, Collector{});
 }
 
-Outcome run_lean_reference(const std::vector<std::uint32_t>& words,
-                           std::uint64_t limit = kInstrLimit) {
+Outcome run_null_observer_reference(const std::vector<std::uint32_t>& words,
+                                    std::uint64_t limit = kInstrLimit) {
   riscv::Machine m(kMemBytes);
   m.set_predecode(false);
   m.reset();
@@ -398,9 +373,8 @@ Outcome run_lean_reference(const std::vector<std::uint32_t>& words,
 /// A rejection-sampling loop with the exact op shapes the translator fuses
 /// (xorshift-mask superop followed by the accumulate/loop block), with the
 /// register roles drawn from `rng`. Distinct roles reproduce the canonical
-/// firmware dataflow (specialized handlers, lean-leg accept-path inlining);
-/// aliased roles must fall back to the generic handlers with identical
-/// results. Aliasing can make the loop diverge — the instruction limit then
+/// firmware dataflow (specialized handlers); aliased roles must fall back to
+/// the generic handlers with identical results. Aliasing can make the loop diverge — the instruction limit then
 /// stops both executions at the same instruction.
 std::vector<std::uint32_t> sampler_like_program(num::Xoshiro256StarStar& rng,
                                                 bool distinct_roles) {
@@ -520,7 +494,7 @@ TEST(BlockTierFuzz, RandomProgramsMatchBothLowerTiers) {
     const auto words = random_program(rng, /*self_modify=*/false);
     const Outcome ref = run_reference_limit(words);
     expect_outcomes_equal(run_block(words), ref);
-    expect_outcomes_equal(run_predecode_only(words), ref);
+    expect_outcomes_equal(run_tiered(words, /*predecode=*/false), ref);
     if (::testing::Test::HasFailure()) break;
   }
 }
@@ -555,16 +529,15 @@ TEST(BlockTierFuzz, SamplerShapedLoopsMatchReferenceWithObserver) {
   }
 }
 
-TEST(BlockTierFuzz, LeanNullObserverPathMatchesReference) {
-  // The nullptr-observer route statically selects the lean legs (hoisted
-  // pool fields, self-loop shortcut, inlined accept path); the observer
-  // tests above never reach them.
+TEST(BlockTierFuzz, NullObserverRouteMatchesReference) {
+  // The nullptr-observer route instantiates every handler with events
+  // compiled out; the observer tests above never reach that instantiation.
   num::Xoshiro256StarStar rng(0x0B5E'55EDULL);
   for (int trial = 0; trial < 20; ++trial) {
     SCOPED_TRACE("trial " + std::to_string(trial));
     const auto words = trial < 12 ? sampler_like_program(rng, trial % 2 == 0)
                                   : random_program(rng, trial % 2 == 1);
-    expect_outcomes_equal(run_lean(words, true, true), run_lean_reference(words));
+    expect_outcomes_equal(run_null_observer(words), run_null_observer_reference(words));
     if (::testing::Test::HasFailure()) break;
   }
 }
@@ -582,7 +555,8 @@ TEST(BlockTierFuzz, InstructionLimitExpiringMidBlockMatchesReference) {
     SCOPED_TRACE("limit " + std::to_string(limit));
     const Outcome ref = run_reference_limit(words, limit);
     expect_outcomes_equal(run_block(words, limit), ref);
-    expect_outcomes_equal(run_lean(words, true, true, limit), run_lean_reference(words, limit));
+    expect_outcomes_equal(run_null_observer(words, limit),
+                          run_null_observer_reference(words, limit));
     if (limit < total) {
       EXPECT_EQ(ref.reason, riscv::Machine::StopReason::kInstrLimit);
       EXPECT_EQ(ref.retired, limit);
@@ -609,7 +583,7 @@ TEST(BlockTier, StoreAheadInsideExecutingBlockInvalidatesBeforeFetch) {
   const Outcome block = run_block(words);
   EXPECT_EQ(block.regs[7], 2u);  // the patched instruction executed
   expect_outcomes_equal(block, run_reference_limit(words));
-  expect_outcomes_equal(run_lean(words, true, true), run_lean_reference(words));
+  expect_outcomes_equal(run_null_observer(words), run_null_observer_reference(words));
 }
 
 TEST(BlockTier, StoreBehindInsideLoopBlockIsObservedOnReExecution) {
@@ -636,7 +610,7 @@ TEST(BlockTier, StoreBehindInsideLoopBlockIsObservedOnReExecution) {
   const Outcome block = run_block(words);
   EXPECT_EQ(block.regs[9], 3u);
   expect_outcomes_equal(block, run_reference_limit(words));
-  expect_outcomes_equal(run_lean(words, true, true), run_lean_reference(words));
+  expect_outcomes_equal(run_null_observer(words), run_null_observer_reference(words));
 }
 
 std::vector<std::uint32_t> branch_into_middle_program(bool middle_first) {
@@ -666,7 +640,7 @@ TEST(BlockTier, BranchIntoBlockMiddleMatchesReference) {
     SCOPED_TRACE(middle_first ? "middle entry first" : "head entry first");
     const auto words = branch_into_middle_program(middle_first);
     expect_outcomes_equal(run_block(words), run_reference_limit(words));
-    expect_outcomes_equal(run_lean(words, true, true), run_lean_reference(words));
+    expect_outcomes_equal(run_null_observer(words), run_null_observer_reference(words));
   }
 }
 
@@ -682,7 +656,7 @@ TEST(BlockTier, InvalidEncodingAtBlockTailTrapsIdentically) {
     const Outcome block = run_block(words);
     EXPECT_EQ(block.reason, riscv::Machine::StopReason::kTrap);
     expect_outcomes_equal(block, run_reference_limit(words));
-    expect_outcomes_equal(run_lean(words, true, true), run_lean_reference(words));
+    expect_outcomes_equal(run_null_observer(words), run_null_observer_reference(words));
   }
 }
 
@@ -698,12 +672,10 @@ TEST(TierToggle, EnablingPredecodeAfterLoadSeesPatchedMemory) {
 
   riscv::Machine m(kMemBytes);
   m.set_predecode(false);
-  m.set_block_tier(false);
   m.reset();
   m.load_program(words, 0);
   m.store_word(0, kPatchWord);  // patch while both caches are disabled
   m.set_predecode(true);
-  m.set_block_tier(true);
   const auto reason = m.run(kInstrLimit, nullptr);
   EXPECT_EQ(reason, riscv::Machine::StopReason::kHalt);
   EXPECT_EQ(m.reg(riscv::Reg::x7), 2u);
@@ -728,7 +700,6 @@ TEST(TierToggle, ReenablingWarmPredecodeSeesStoredPatch) {
 
   m.store_word(0, kPatchWord);
   m.set_predecode(true);
-  m.set_block_tier(true);
   m.reset();
   m.load_program(words, 0);  // unchanged-reload path must NOT apply here:
   // the program words differ from patched memory, so this is a fresh load.
@@ -744,8 +715,9 @@ TEST(TierToggle, ReenablingWarmPredecodeSeesStoredPatch) {
 }
 
 TEST(TierToggle, SwitchingTiersMidExecutionMatchesReference) {
-  // Run the first third under the block tier, the second under predecode
-  // only, and the rest under decode-per-step — the composite must be
+  // Run the first third under the block tier, the second under
+  // decode-per-step, and the rest under the block tier again (re-enabling
+  // predecoding rebuilds the cache mid-run) — the composite must be
   // indistinguishable from a pure reference run.
   num::Xoshiro256StarStar rng(0x706'6135ULL);
   for (int trial = 0; trial < 10; ++trial) {
@@ -762,10 +734,10 @@ TEST(TierToggle, SwitchingTiersMidExecutionMatchesReference) {
     const std::uint64_t third = ref.retired / 3;
     auto reason = m.run_with(third, col);
     ASSERT_EQ(reason, riscv::Machine::StopReason::kInstrLimit);
-    m.set_block_tier(false);
+    m.set_predecode(false);
     reason = m.run_with(third, col);
     ASSERT_EQ(reason, riscv::Machine::StopReason::kInstrLimit);
-    m.set_predecode(false);
+    m.set_predecode(true);
     reason = m.run_with(kInstrLimit, col);
     expect_outcomes_equal(finish(m, reason, std::move(col)), ref);
     if (::testing::Test::HasFailure()) break;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "lattice/lattice.hpp"
 #include "numeric/rng.hpp"
@@ -191,6 +192,16 @@ TEST(Bkz, ParameterValidation) {
   BkzParams params;
   params.block_size = 1;
   EXPECT_THROW(bkz_reduce(basis, params), std::invalid_argument);
+  params.block_size = 2;
+  for (const double delta : {0.25, 1.5}) {
+    params.delta = delta;
+    try {
+      bkz_reduce(basis, params);
+      ADD_FAILURE() << "delta " << delta << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "bkz_reduce: delta must be in (1/4, 1]");
+    }
+  }
 }
 
 TEST(Babai, RecoversCloseLatticePoint) {

@@ -1,8 +1,8 @@
-// Differential suite for the paper-scale lattice plane: the maintained
-// FlatGso vs compute_gso, the fast BKZ loop vs the per-position-recompute
-// reference, the CN11-style BKZ simulator vs its naive anchor, and the
-// dense-Sigma estimator oracle (tests/support) vs the lightweight DBDD
-// estimator at the paper's dimensions.
+// Differential suite for the paper-scale lattice plane: the incremental
+// FlatGso vs compute_gso, BKZ against pinned outputs, the CN11-style BKZ
+// simulator vs its naive anchor, and the dense-Sigma estimator oracle
+// (tests/support) vs the lightweight DBDD estimator at the paper's
+// dimensions.
 //
 // Registered under both the ASan/UBSan and TSan configs (see
 // tests/CMakeLists.txt): the flat GSO buffers are the riskiest pointer
@@ -12,7 +12,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -132,7 +134,7 @@ TEST(MatrixLite, AgreesWithLightweightAtPaperDims) {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental GSO: FlatGso::ensure vs compute_gso, and enumeration parity.
+// Incremental GSO: FlatGso::ensure vs compute_gso.
 
 TEST(FlatGsoIncremental, EnsureMatchesComputeGsoAfterPerturbations) {
   std::mt19937_64 rng(31);
@@ -161,37 +163,50 @@ TEST(FlatGsoIncremental, EnsureMatchesComputeGsoAfterPerturbations) {
   }
 }
 
-TEST(FlatGsoIncremental, EnumerationAgreesAcrossGsoRepresentations) {
-  std::mt19937_64 rng(47);
-  for (int trial = 0; trial < 5; ++trial) {
-    const lattice::Basis basis = random_basis(rng, 12, 25, 70);
-    const lattice::Gso full = lattice::compute_gso(basis);
-    lattice::FlatGso flat(basis);
-    flat.ensure(basis.size() - 1, basis);
-    for (std::size_t begin = 0; begin + 2 <= basis.size(); begin += 3) {
-      const std::size_t end = std::min(begin + 6, basis.size());
-      const auto a = lattice::enumerate_shortest(full, begin, end);
-      const auto b = lattice::enumerate_shortest(flat, begin, end);
-      ASSERT_EQ(a.found, b.found);
-      ASSERT_EQ(a.coefficients, b.coefficients);
-      ASSERT_EQ(a.norm_sq, b.norm_sq);
+namespace {
+
+/// FNV-1a over the little-endian bytes of every basis entry, row-major.
+std::uint64_t basis_hash(const lattice::Basis& basis) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const auto& row : basis) {
+    for (const std::int64_t v : row) {
+      const auto u = static_cast<std::uint64_t>(v);
+      for (int byte = 0; byte < 8; ++byte) {
+        h ^= (u >> (8 * byte)) & 0xFFu;
+        h *= 1099511628211ULL;
+      }
     }
   }
+  return h;
 }
 
-TEST(BkzDifferential, FastMatchesReferenceFuzz) {
+}  // namespace
+
+TEST(BkzDifferential, FuzzBasesMatchPinnedOutput) {
+  // Insertion counts and reduced-basis hashes recorded while the
+  // maintained-GSO BKZ loop and the per-position-recompute loop both
+  // existed and agreed on every one of these bases; bkz_reduce (the
+  // per-position loop) must keep reproducing them.
+  struct Pin {
+    std::size_t insertions;
+    std::uint64_t hash;
+  };
+  constexpr Pin kPins[] = {
+      {1, 0x598c0904823466a0ULL}, {2, 0x21313e7586ba3e96ULL}, {1, 0xc22e931e02ea9b21ULL},
+      {0, 0x89a1030ba2e1882eULL}, {1, 0x2d1d7e8c9d2bd22fULL}, {1, 0xd226e78aeab4a7a2ULL},
+  };
   std::mt19937_64 rng(77);
   for (int trial = 0; trial < 6; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
     const std::size_t n = 10 + 4 * static_cast<std::size_t>(trial % 3);
     lattice::BkzParams params;
     params.block_size = 4 + static_cast<std::size_t>(trial % 3) * 3;
     params.max_tours = 6;
-    lattice::Basis fast_basis = random_basis(rng, n, 40, 120);
-    lattice::Basis ref_basis = fast_basis;
-    const std::size_t fast_ins = lattice::bkz_reduce(fast_basis, params);
-    const std::size_t ref_ins = lattice::bkz_reduce_reference(ref_basis, params);
-    EXPECT_EQ(fast_ins, ref_ins);
-    EXPECT_EQ(fast_basis, ref_basis);
+    lattice::Basis basis = random_basis(rng, n, 40, 120);
+    const std::size_t insertions = lattice::bkz_reduce(basis, params);
+    EXPECT_EQ(insertions, kPins[trial].insertions);
+    EXPECT_EQ(basis.size(), n);
+    EXPECT_EQ(basis_hash(basis), kPins[trial].hash);
   }
 }
 

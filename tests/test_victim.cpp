@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "core/victim.hpp"
 #include "numeric/stats.hpp"
@@ -358,4 +359,34 @@ TEST(CdtVictim, LeakyVariantTimingDependsOnValuesConstantTimeDoesNot) {
     return hi - lo;
   };
   EXPECT_LT(spread(ct_cycles) * 3, spread(leaky_cycles));
+}
+
+TEST(NullObserverVictim, PaperScaleFirmwareMatchesReferenceTier) {
+  // Bare runs (run_victim with no observer) take the block tier's
+  // null-observer instantiation, which the benches' n = 1024 ground truth
+  // depends on; captures run the recorder observer instead. Pin that route
+  // against the decode-per-step anchor on the paper-scale firmware.
+  constexpr std::uint32_t kSeeds[] = {0x5EED'0001u, 0xC0DE'1024u, 777777u};
+  const VictimProgram programs[] = {build_sampler_firmware(1024, {kPaperQ}),
+                                    build_encryption_firmware(1024, {kPaperQ})};
+  for (const VictimProgram& prog : programs) {
+    SCOPED_TRACE("polys " + std::to_string(prog.poly_count));
+    riscv::Machine block(prog.memory_bytes);
+    riscv::Machine reference(prog.memory_bytes);
+    for (const std::uint32_t seed : kSeeds) {
+      SCOPED_TRACE("seed " + std::to_string(seed));
+      const VictimRun got = run_victim(prog, block, seed, nullptr);
+      const VictimRun expect = run_victim_tier(prog, reference, seed, VictimTier::kReference);
+      EXPECT_GT(block.translated_block_count(), 0u);  // the block tier ran
+      EXPECT_EQ(got.noise, expect.noise);
+      EXPECT_EQ(got.cycles, expect.cycles);
+      EXPECT_EQ(got.instructions, expect.instructions);
+      EXPECT_EQ(block.retired_count(), reference.retired_count());
+      EXPECT_EQ(block.pc(), reference.pc());
+      for (int r = 0; r < 32; ++r) {
+        const auto reg = static_cast<riscv::Reg>(r);
+        EXPECT_EQ(block.reg(reg), reference.reg(reg)) << "x" << r;
+      }
+    }
+  }
 }
